@@ -29,7 +29,7 @@ store.write_dataset(out_dir / "dataset.tdid", dataset)
 train_pairs, test_pairs = pipeline.split_dataset(dataset, n_test=120, seed=1)
 config = mlp.TrainConfig(epochs=15, batch_size=64, seed=0)
 print(f"training {config.epochs} epochs on {train_pairs[0].shape[0]} pairs ...")
-model, history = pipeline.train_model(train_pairs, config)
+model, history = mlp.train(train_pairs, config)
 print(f"train loss {history.train_loss[0]:.4f} -> {history.train_loss[-1]:.4f}, "
       f"validation {history.val_loss[-1]:.4f}")
 

@@ -130,9 +130,7 @@ def cmd_train(args) -> int:
     tc = _build_train_config(args, extras)
     ds = store.read_dataset(args.dataset)
     os.makedirs(args.out, exist_ok=True)
-    pairs = (np.asarray(ds.histograms, dtype=np.float64),
-             np.asarray(ds.images, dtype=np.float64))
-    model, history = mlp.train(pairs, tc)
+    model, history = mlp.train((ds.histograms, ds.images), tc)
     model_path = os.path.join(args.out, "model.tdim")
     store.write_model(model_path, model)
     store.write_csv(os.path.join(args.out, "history.csv"), "epoch,train_loss,val_loss",
@@ -160,17 +158,16 @@ def cmd_eval(args) -> int:
         raise ValueError("model output size does not match dataset image size")
     os.makedirs(args.out, exist_ok=True)
 
-    x = np.asarray(ds.histograms, dtype=np.float64)
-    y = np.asarray(ds.images, dtype=np.float64)
+    x, y = ds.histograms, ds.images
     per_pair, overall = pipeline.evaluate_model(model, x, y, ds.img_w, ds.img_h)
     rows = [(i, repr(v)) for i, v in enumerate(per_pair)] + [("overall", repr(overall))]
     store.write_csv(os.path.join(args.out, "ssim.csv"), "pair,mean_ssim", rows)
 
-    preds = np.clip(mlp.forward(model, x[: args.gallery].astype(model.dtype)), 0.0, 1.0)
+    preds = np.clip(mlp.forward(model, x[: args.gallery]), 0.0, 1.0)
     preds = np.atleast_2d(preds)
     for i in range(min(args.gallery, len(ds))):
         pred = preds[i].reshape(ds.img_h, ds.img_w).astype(np.float64)
-        truth = y[i].reshape(ds.img_h, ds.img_w)
+        truth = y[i].reshape(ds.img_h, ds.img_w).astype(np.float64)
         smap = metrics.ssim(pred, truth).map
         store.export_depth_pgm(pred, os.path.join(args.out, f"{i:04d}_pred.pgm"))
         store.export_depth_pgm(truth, os.path.join(args.out, f"{i:04d}_truth.pgm"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,8 @@ WINDOW_SIGMA = 1.5
 K1 = 0.01
 K2 = 0.03
 DYNAMIC_RANGE = 1.0
+# Pairs scored per chunk in batch_ssim; bounds the float64 intermediates.
+SSIM_CHUNK = 256
 
 
 @dataclass
@@ -24,35 +27,48 @@ class SsimResult:
     mean: float
 
 
-def _window() -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _pass_matrix(size: int) -> np.ndarray:
+    """(size, size) matrix of one 1-D Gaussian pass with symmetric edge padding.
+
+    Row i holds the 11 taps centred on i; taps that fall off an edge are
+    folded back onto the pixel that symmetric padding would copy there.
+    """
     k = np.arange(WINDOW_SIZE, dtype=np.float64) - (WINDOW_SIZE - 1) / 2.0
-    g = np.exp(-(k ** 2) / (2.0 * WINDOW_SIGMA ** 2))
-    w = np.outer(g, g)
-    return w / w.sum()
-
-
-_W2D = _window()
+    taps = np.exp(-(k ** 2) / (2.0 * WINDOW_SIGMA ** 2))
+    taps /= taps.sum()
+    source = np.pad(np.arange(size), WINDOW_SIZE // 2, mode="symmetric")
+    cols = np.lib.stride_tricks.sliding_window_view(source, WINDOW_SIZE)
+    rows = np.repeat(np.arange(size), WINDOW_SIZE).reshape(size, WINDOW_SIZE)
+    mat = np.zeros((size, size))
+    np.add.at(mat, (rows, cols), np.broadcast_to(taps, cols.shape))
+    mat.flags.writeable = False
+    return mat
 
 
 def _windowed_mean(img: np.ndarray) -> np.ndarray:
-    """Gaussian-weighted local mean with symmetric edge padding (same size)."""
-    pad = WINDOW_SIZE // 2
-    padded = np.pad(img, pad, mode="symmetric")
-    view = np.lib.stride_tricks.sliding_window_view(padded, (WINDOW_SIZE, WINDOW_SIZE))
-    return np.tensordot(view, _W2D, axes=([2, 3], [0, 1]))
+    """Gaussian-weighted local mean of an (h, w) image or (n, h, w) stack.
+
+    The 11x11 window is separable, so it is applied as one pass down the
+    columns and one along the rows (same size, symmetric padding).
+    """
+    h, w = img.shape[-2:]
+    return _pass_matrix(h) @ img @ _pass_matrix(w).T
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> SsimResult:
-    """Structural similarity map and mean between two normalized images.
+    """Structural similarity map and mean between normalized images.
 
-    Inputs are 2-D arrays of equal shape with values in [0, 1]. The map has
-    the same shape as the inputs (symmetric padding at the edges) and every
-    value lies in [-1, 1]; identical inputs give exactly 1.
+    Inputs are equal-shape 2-D images, or (n, h, w) stacks of them, with
+    values in [0, 1]. The map has the shape of the inputs (each image is
+    padded symmetrically at its edges) and every value lies in [-1, 1];
+    identical inputs give exactly 1. The mean is taken over the whole map.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ValueError(f"images must be equal-shape 2-D arrays, got {a.shape} vs {b.shape}")
+    if a.shape != b.shape or a.ndim not in (2, 3):
+        raise ValueError(f"images must be equal-shape 2-D arrays or (n, h, w) stacks, "
+                         f"got {a.shape} vs {b.shape}")
 
     c1 = (K1 * DYNAMIC_RANGE) ** 2
     c2 = (K2 * DYNAMIC_RANGE) ** 2
@@ -70,10 +86,23 @@ def ssim(a: np.ndarray, b: np.ndarray) -> SsimResult:
 
 
 def batch_ssim(pairs) -> tuple[np.ndarray, float]:
-    """Per-pair mean SSIM in input order plus the overall mean."""
+    """Per-pair mean SSIM in input order plus the overall mean.
+
+    `pairs` is a sequence of (a, b) image pairs or, equivalently, one
+    (n, 2, h, w) array. Pairs are scored as (n, h, w) stacks, SSIM_CHUNK
+    pairs per `ssim` call.
+    """
     if len(pairs) == 0:
         raise ValueError("need at least one image pair")
-    means = np.array([ssim(p, t).mean for p, t in pairs], dtype=np.float64)
+    stack = np.asarray(pairs, dtype=np.float64)
+    if stack.ndim != 4 or stack.shape[1] != 2:
+        raise ValueError(f"need (n, 2, h, w) image pairs, got shape {stack.shape}")
+    n = stack.shape[0]
+    means = np.empty(n)
+    for lo in range(0, n, SSIM_CHUNK):
+        chunk = stack[lo: lo + SSIM_CHUNK]
+        smap = ssim(chunk[:, 0], chunk[:, 1]).map
+        means[lo: lo + SSIM_CHUNK] = smap.reshape(chunk.shape[0], -1).mean(axis=1)
     return means, float(means.mean())
 
 

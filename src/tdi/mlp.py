@@ -17,6 +17,8 @@ from .forward import Histogram, normalize_histogram
 from .scene import DepthImage
 
 DEFAULT_HIDDEN = (1024, 512, 256)
+# Elements per block of the in-place Adam update (two scratch blocks of this size).
+ADAM_BLOCK = 1 << 15
 
 
 class TrainingDivergedError(RuntimeError):
@@ -176,7 +178,15 @@ def gradients(model: MlpModel, batch_x: np.ndarray, batch_s: np.ndarray) -> list
 
 def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
               config: TrainConfig) -> tuple[MlpModel, AdamState]:
-    """One bias-corrected Adam update, in place; t counts from 1."""
+    """One bias-corrected Adam update, in place; t counts from 1.
+
+    Each parameter is walked in blocks of ADAM_BLOCK elements through two
+    block-sized scratch buffers, so no parameter-sized temporary is made.
+    The element-wise operations run in the order of the whole-array update
+    lr * (m / c1) / (sqrt(v / c2) + eps), so the result is bit-identical to
+    it. Each gradient block is checked to be finite before it is used;
+    `grads` itself is never written.
+    """
     if t < 1:
         raise ValueError("step index t starts at 1")
     params = model.weights + model.biases
@@ -185,15 +195,36 @@ def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
     b1, b2 = config.beta1, config.beta2
     correction1 = 1.0 - b1 ** t
     correction2 = 1.0 - b2 ** t
+    scratch_a = np.empty(ADAM_BLOCK, dtype=model.dtype)
+    scratch_b = np.empty(ADAM_BLOCK, dtype=model.dtype)
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if not np.isfinite(g).all():
-            raise TrainingDivergedError(
-                f"nonfinite gradient for parameter of shape {p.shape} at step {t}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + config.eps)
+        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ValueError("parameters and Adam moments must be C-contiguous")
+        if np.shape(g) != p.shape:
+            raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {p.shape}")
+        p_flat, m_flat, v_flat = p.reshape(-1), m.reshape(-1), v.reshape(-1)
+        g_flat = np.ascontiguousarray(g).reshape(-1)
+        for lo in range(0, p_flat.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, p_flat.size)
+            gb, pb, mb, vb = g_flat[lo:hi], p_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+            if not np.isfinite(gb).all():
+                raise TrainingDivergedError(
+                    f"nonfinite gradient for parameter of shape {p.shape} at step {t}")
+            mb *= b1
+            np.multiply(gb, 1.0 - b1, out=a)
+            mb += a
+            vb *= b2
+            np.multiply(gb, gb, out=a)
+            a *= 1.0 - b2
+            vb += a
+            np.divide(vb, correction2, out=a)
+            np.sqrt(a, out=a)
+            a += config.eps
+            np.divide(mb, correction1, out=b)
+            b *= config.learning_rate
+            b /= a
+            pb -= b
     return model, state
 
 
@@ -214,7 +245,10 @@ def train(dataset, config: TrainConfig, model: MlpModel | None = None,
     if x.shape[0] < config.batch_size:
         raise ValueError(f"dataset of {x.shape[0]} pairs is smaller than one batch")
     for name, arr in (("inputs", x), ("targets", y)):
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        lo, hi = arr.min(), arr.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):   # min/max propagate NaN
+            raise ValueError(f"{name} contain NaN or inf")
+        if lo < 0.0 or hi > 1.0:
             raise ValueError(f"{name} must be normalized to [0, 1]")
 
     if model is None:

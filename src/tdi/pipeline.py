@@ -18,6 +18,9 @@ from .config import (IRF_SWEEP_S, DATASET_SIZE_SWEEP, REFLECTIVITY_SWEEP,
                      REFLECTIVITY_TRAIN_RANGE, SimConfig, desk_sim, paper_sim)
 
 BACKGROUND_KINDS = ("structured", "uniform")
+# Failures a sweep records for one point before going on to the next; any
+# other exception is a bug and propagates.
+SWEEP_ERRORS = (ValueError, store.StoreError, mlp.TrainingDivergedError)
 
 
 @dataclass
@@ -138,22 +141,17 @@ def split_dataset(ds: store.Dataset, n_test: int, seed: int):
         raise ValueError(f"need 0 < n_test < {n}")
     perm = np.random.default_rng(seed).permutation(n)
     test, train = perm[:n_test], perm[n_test:]
-    x = np.asarray(ds.histograms, dtype=np.float64)
-    y = np.asarray(ds.images, dtype=np.float64)
+    x, y = ds.histograms, ds.images
     return (x[train], y[train]), (x[test], y[test])
-
-
-def train_model(pairs, train_cfg: mlp.TrainConfig) -> tuple:
-    return mlp.train(pairs, train_cfg)
 
 
 def evaluate_model(model: mlp.MlpModel, x: np.ndarray, y: np.ndarray,
                    img_w: int, img_h: int) -> tuple[np.ndarray, float]:
     """Mean SSIM per test pair (prediction vs truth) and the overall mean."""
     outputs = mlp.forward(model, np.asarray(x, dtype=model.dtype))
-    preds = np.clip(outputs, 0.0, 1.0).astype(np.float64)
-    pairs = [(preds[i].reshape(img_h, img_w), np.asarray(y[i], dtype=np.float64).reshape(img_h, img_w))
-             for i in range(preds.shape[0])]
+    pairs = np.empty((outputs.shape[0], 2, img_h, img_w))
+    pairs[:, 0] = np.clip(outputs, 0.0, 1.0).reshape(-1, img_h, img_w)
+    pairs[:, 1] = np.asarray(y).reshape(-1, img_h, img_w)
     return metrics.batch_ssim(pairs)
 
 
@@ -183,7 +181,7 @@ def sweep_irf(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
             score = _train_and_score(train_pairs, test_pairs, train_cfg,
                                      cfg.img_w, cfg.img_h)
             points.append(SweepPoint(label, score))
-        except Exception as exc:  # record and continue with the other points
+        except SWEEP_ERRORS as exc:  # record and continue with the other points
             points.append(SweepPoint(label, None, error=str(exc)))
     return points
 
@@ -211,11 +209,11 @@ def sweep_noise(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
                 h = forward.add_noise(h, spec, seed=cfg.seed + 7919 + int(index))
                 x_test[j] = forward.normalize_histogram(h)
             # quantize like stored datasets so level 0 matches clean evaluation
-            x_test = x_test.astype(np.float32).astype(np.float64)
-            y_test = raw.images[test_idx].astype(np.float32).astype(np.float64)
+            x_test = x_test.astype(np.float32)
+            y_test = raw.images[test_idx].astype(np.float32)
             _, overall = evaluate_model(model, x_test, y_test, cfg.img_w, cfg.img_h)
             points.append(SweepPoint(label, overall))
-        except Exception as exc:
+        except SWEEP_ERRORS as exc:
             points.append(SweepPoint(label, None, error=str(exc)))
     return points
 
@@ -236,7 +234,7 @@ def sweep_dataset_size(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
             subset = (train_pairs[0][:size], train_pairs[1][:size])
             score = _train_and_score(subset, test_pairs, train_cfg, cfg.img_w, cfg.img_h)
             points.append(SweepPoint(label, score))
-        except Exception as exc:
+        except SWEEP_ERRORS as exc:
             points.append(SweepPoint(label, None, error=str(exc)))
     return points
 
@@ -269,10 +267,9 @@ def sweep_reflectivity(recipe: DatasetRecipe, train_cfg: mlp.TrainConfig, n_test
             raw_r = simulate_raw(test_recipe)
             ds_r = finalize(raw_r)
             idx = sorted(test_idx)
-            _, overall = evaluate_model(model, np.asarray(ds_r.histograms[idx], dtype=np.float64),
-                                        np.asarray(ds_r.images[idx], dtype=np.float64),
+            _, overall = evaluate_model(model, ds_r.histograms[idx], ds_r.images[idx],
                                         cfg.img_w, cfg.img_h)
             points.append(SweepPoint(label, overall))
-        except Exception as exc:
+        except SWEEP_ERRORS as exc:
             points.append(SweepPoint(label, None, error=str(exc)))
     return points

@@ -54,6 +54,25 @@ def finite_difference_grads(model, x, s, step=1e-5):
     return grads
 
 
+def textbook_adam(params, grads_per_step, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma & Ba (arXiv:1412.6980) Algorithm 1, whole arrays, new arrays each step.
+
+    Returns updated copies of `params` after one step per entry of
+    `grads_per_step` (each a list of gradients aligned with `params`).
+    """
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+            m_hat = m[i] / (1.0 - beta1 ** t)
+            v_hat = v[i] / (1.0 - beta2 ** t)
+            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
 def max_grad_rel_error(analytic, numeric, floor=1e-8) -> float:
     """Worst relative disagreement, ignoring entries that are numerically zero."""
     worst = 0.0

@@ -75,6 +75,22 @@ def test_batch_ssim_single_pair_and_order():
     assert means2[0] == means[0] and means2[1] == 1.0
 
 
+def test_batch_ssim_stack_matches_single_and_brute_force():
+    base = random_image(10, (16, 16))
+    step = np.zeros((16, 16))
+    step[4:12, 4:12] = 1.0
+    pairs = [(base, base), (base, random_image(11, (16, 16))),
+             (base, np.roll(base, 3, axis=0)), (step, np.roll(step, 2, axis=1)),
+             (step, np.full((16, 16), 0.5)), (np.zeros((16, 16)), np.zeros((16, 16))),
+             (base, 0.5 * base + 0.25), (random_image(12, (16, 16)), step)]
+    means, overall = metrics.batch_ssim(np.array(pairs))
+    assert means.shape == (len(pairs),)
+    assert overall == pytest.approx(means.mean(), abs=1e-15)
+    for (a, b), got in zip(pairs, means):
+        assert abs(got - metrics.ssim(a, b).mean) <= 1e-12
+        assert abs(got - brute_force_ssim_mean(a, b)) <= 1e-6
+
+
 def test_batch_ssim_rejects_empty():
     with pytest.raises(ValueError):
         metrics.batch_ssim([])

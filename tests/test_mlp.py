@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import finite_difference_grads, max_grad_rel_error
+from reference import finite_difference_grads, max_grad_rel_error, textbook_adam
 from tdi import forward, mlp
 from tdi.config import SimConfig
 
@@ -194,6 +194,52 @@ def test_adam_rejects_bad_step_index():
         mlp.adam_step(model, grads, state, t=0, config=mlp.TrainConfig())
 
 
+def multi_block_model():
+    """float32 model whose first weight spans two full Adam blocks plus a partial one."""
+    model = mlp.init_model([mlp.ADAM_BLOCK // 16 + 3, 32, 3], seed=0)
+    size = model.weights[0].size
+    assert size > 2 * mlp.ADAM_BLOCK and size % mlp.ADAM_BLOCK != 0
+    return model
+
+
+def test_adam_matches_textbook_reference_bytes():
+    model = multi_block_model()
+    params = model.weights + model.biases
+    rng = np.random.default_rng(5)
+    steps = [[rng.standard_normal(p.shape).astype(np.float32) * 1e-2 for p in params]
+             for _ in range(5)]
+    cfg = mlp.TrainConfig()
+    expected = textbook_adam(params, steps, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    state = mlp.AdamState.zeros_like(model)
+    for t, grads in enumerate(steps, start=1):
+        mlp.adam_step(model, grads, state, t, cfg)
+    for got, want in zip(model.weights + model.biases, expected):
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+
+def test_adam_leaves_gradients_unchanged():
+    model = multi_block_model()
+    rng = np.random.default_rng(6)
+    grads = [rng.standard_normal(p.shape).astype(np.float32)
+             for p in model.weights + model.biases]
+    before = [g.copy() for g in grads]
+    state = mlp.AdamState.zeros_like(model)
+    for t in (1, 2):
+        mlp.adam_step(model, grads, state, t, mlp.TrainConfig())
+    for g, b in zip(grads, before):
+        assert g.tobytes() == b.tobytes()
+
+
+def test_adam_nonfinite_in_last_block_raises():
+    model = multi_block_model()
+    grads = [np.zeros_like(p) for p in model.weights + model.biases]
+    grads[0].reshape(-1)[-1] = np.nan          # only the final, partial block
+    state = mlp.AdamState.zeros_like(model)
+    with pytest.raises(mlp.TrainingDivergedError):
+        mlp.adam_step(model, grads, state, t=1, config=mlp.TrainConfig())
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -252,6 +298,20 @@ def test_train_rejects_bad_datasets():
         mlp.train((x, y), mlp.TrainConfig(batch_size=64))  # fewer pairs than a batch
     with pytest.raises(ValueError):
         mlp.train((x * 3.0, y), mlp.TrainConfig(batch_size=8))  # not normalized
+
+
+def test_train_rejects_nan_inputs():
+    x, y = toy_task(n=32)
+    x[5, 2] = np.nan
+    with pytest.raises(ValueError, match="inputs contain NaN or inf"):
+        mlp.train((x, y), mlp.TrainConfig(batch_size=8))
+
+
+def test_train_rejects_inf_targets():
+    x, y = toy_task(n=32)
+    y[7, 1] = np.inf
+    with pytest.raises(ValueError, match="targets contain NaN or inf"):
+        mlp.train((x, y), mlp.TrainConfig(batch_size=8))
 
 
 def test_train_config_validation():

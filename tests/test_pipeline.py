@@ -103,3 +103,39 @@ def test_sweep_reflectivity_modes(tiny_recipe):
     assert fixed[0].label == "R1" and fixed[0].mean_ssim is not None
     with pytest.raises(ValueError):
         pipeline.sweep_reflectivity(tiny_recipe, tc, 8, training="sometimes")
+
+
+def run_sweep(name, recipe, tc):
+    """One point of the named sweep on the tiny recipe."""
+    if name == "reflectivity":
+        return pipeline.sweep_reflectivity(recipe, tc, 8, ratios=(1.0,))
+    raw = pipeline.simulate_raw(recipe)
+    if name == "irf":
+        return pipeline.sweep_irf(raw, tc, 8, dts=(250e-12,))
+    if name == "noise":
+        return pipeline.sweep_noise(raw, tc, 8, levels=(1,))
+    return pipeline.sweep_dataset_size(raw, tc, 8, sizes=(16,))
+
+
+SWEEPS = ("irf", "noise", "dataset_size", "reflectivity")
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_records_expected_failure(tiny_recipe, monkeypatch, name):
+    def diverge(*args, **kwargs):
+        raise mlp.TrainingDivergedError("nonfinite gradient")
+    monkeypatch.setattr(pipeline, "evaluate_model", diverge)
+    tc = mlp.TrainConfig(epochs=1, batch_size=8, seed=0)
+    points = run_sweep(name, tiny_recipe, tc)
+    assert len(points) == 1
+    assert points[0].mean_ssim is None and points[0].error == "nonfinite gradient"
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_propagates_unexpected_error(tiny_recipe, monkeypatch, name):
+    def bug(*args, **kwargs):
+        raise TypeError("a bug, not a failed point")
+    monkeypatch.setattr(pipeline, "evaluate_model", bug)
+    tc = mlp.TrainConfig(epochs=1, batch_size=8, seed=0)
+    with pytest.raises(TypeError, match="a bug"):
+        run_sweep(name, tiny_recipe, tc)
