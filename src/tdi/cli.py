@@ -37,8 +37,7 @@ def write_manifest(out_dir, command: str, extra: dict, cfg: SimConfig | None = N
         lines += [f"{k} = {v}" for k, v in sim_config_items(cfg)]
     lines += [f"{k} = {v}" for k, v in extra.items()]
     path = os.path.join(out_dir, "manifest.cfg")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    store._atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
 
@@ -97,8 +96,6 @@ def _build_train_config(args, extras: dict) -> mlp.TrainConfig:
         tc = replace(tc, batch_size=args.batch)
     if getattr(args, "seed", None) is not None:
         tc = replace(tc, seed=args.seed)
-    if getattr(args, "deterministic", False):
-        tc = replace(tc, deterministic_mode=True)
     return tc
 
 
@@ -142,7 +139,7 @@ def cmd_train(args) -> int:
         "epochs": tc.epochs, "batch_size": tc.batch_size,
         "validation_fraction": repr(tc.validation_fraction),
         "learning_rate": repr(tc.learning_rate),
-        "seed": tc.seed, "deterministic_mode": tc.deterministic_mode,
+        "seed": tc.seed,
     })
     print(f"trained {tc.epochs} epochs, final train loss "
           f"{history.train_loss[-1]:.3e}; wrote {model_path}")
@@ -275,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a model on a dataset (SSIM)")

@@ -162,14 +162,15 @@ def _noise_scales(counts: np.ndarray, fraction: float):
     return alpha, s
 
 
-def add_noise(h: Histogram, spec: NoiseSpec, seed: int) -> Histogram:
+def add_noise(h: Histogram, spec: NoiseSpec, seed) -> Histogram:
     """Poisson + Gaussian perturbation at the spec's fractional expectation.
 
     Level 0 returns the input unchanged. Otherwise each bin b becomes
     max(0, Poisson(alpha * b) / alpha + Normal(0, sigma)), with alpha and
     sigma calibrated so the mean absolute perturbation of nonzero bins is
     approximately fractional_expectation * mean(nonzero bins). Deterministic
-    for a fixed seed.
+    for a fixed seed, an int or a sequence of ints such as
+    (seed, stream, scene index).
     """
     if spec.level == 0 or spec.fractional_expectation == 0.0:
         return Histogram(h.bin_width_s, h.counts.copy(), h.t0_s)
@@ -214,5 +215,14 @@ def read_histogram_csv(path) -> Histogram:
             counts.append(float(c))
     if len(starts) < 2:
         raise ValueError("histogram CSV needs at least 2 bins")
-    width = starts[1] - starts[0]
+    # width from the end points: the first gap alone carries the rounding of
+    # t0, which grows k-fold by bin k
+    width = (starts[-1] - starts[0]) / (len(starts) - 1)
+    deviation = np.abs(np.asarray(starts) - (starts[0] + np.arange(len(starts)) * width))
+    uneven = np.flatnonzero(deviation > 1e-9 * abs(width))
+    if uneven.size:
+        k = int(uneven[0])
+        raise ValueError(f"histogram CSV bins are unevenly spaced: row {k} starts at "
+                         f"{starts[k]!r} s, expected t0 + {k} * width = "
+                         f"{starts[0] + k * width!r} s")
     return Histogram(width, np.asarray(counts), t0_s=starts[0])

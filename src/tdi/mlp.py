@@ -62,7 +62,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    deterministic_mode: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:

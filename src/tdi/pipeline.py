@@ -3,8 +3,9 @@
 This module holds the machinery shared by the command-line driver, the demo
 scripts, and the study sweeps. Histograms are kept in raw (expected-count)
 form as long as possible so the same simulated scenes can be re-finalized
-under different IRF widths, noise levels, or reflectivity ratios without
-re-rendering.
+under different IRF widths or noise levels without re-rendering. Rows keep
+their scene index, which keys every per-scene random draw, so a subset of
+scenes simulates and finalizes to the same bits as those rows of the whole set.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ BACKGROUND_KINDS = ("structured", "uniform")
 # Failures a sweep records for one point before going on to the next; any
 # other exception is a bug and propagates.
 SWEEP_ERRORS = (ValueError, store.StoreError, mlp.TrainingDivergedError)
+# Stream keys that keep each purpose's per-scene draws independent.
+REFLECTIVITY_STREAM = 1
+NOISE_STREAM = 2
 
 
 @dataclass
@@ -75,8 +79,7 @@ def build_scenes(recipe: DatasetRecipe) -> list:
     if recipe.reflectivity_range is not None:
         lo, hi = recipe.reflectivity_range
         for index, sc in enumerate(scenes):
-            # per-scene stream so results do not depend on generation order
-            rng = np.random.default_rng(recipe.sim.seed + index)
+            rng = np.random.default_rng((recipe.sim.seed, REFLECTIVITY_STREAM, index))
             r = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
             for p in sc.placements:
                 p.reflectivity = r
@@ -90,42 +93,50 @@ class RawDataset:
     counts: np.ndarray        # (n, bins) float64 expected photon counts
     images: np.ndarray        # (n, img_w * img_h) float64 in [0, 1]
     recipe: DatasetRecipe
+    scenes: np.ndarray        # (n,) index of each row's scene in build_scenes(recipe)
 
     def __len__(self) -> int:
         return self.counts.shape[0]
 
+    def take(self, rows) -> "RawDataset":
+        """The given rows, still keyed by their scene indices."""
+        return RawDataset(self.counts[rows], self.images[rows], self.recipe, self.scenes[rows])
 
-def simulate_raw(recipe: DatasetRecipe) -> RawDataset:
+
+def simulate_raw(recipe: DatasetRecipe, scenes=None) -> RawDataset:
+    """Render and histogram the listed scenes of build_scenes(recipe), or all."""
     cfg = recipe.sim
-    scenes = build_scenes(recipe)
-    counts = np.zeros((len(scenes), cfg.bins), dtype=np.float64)
-    images = np.zeros((len(scenes), cfg.img_w * cfg.img_h), dtype=np.float64)
-    for index, sc in enumerate(scenes):
+    built = build_scenes(recipe)
+    indices = np.arange(len(built)) if scenes is None else np.asarray(scenes, dtype=np.int64)
+    if indices.ndim != 1 or ((indices < 0) | (indices >= len(built))).any():
+        raise ValueError(f"scenes must be a 1-D list of indices in [0, {len(built)})")
+    counts = np.zeros((len(indices), cfg.bins), dtype=np.float64)
+    images = np.zeros((len(indices), cfg.img_w * cfg.img_h), dtype=np.float64)
+    for row, index in enumerate(indices):
         try:
-            img = scene.render(sc, cfg)
-            counts[index] = forward.simulate_histogram(img, cfg).counts
-            images[index] = scene.normalize_image(img, cfg.z_max)
+            img = scene.render(built[index], cfg)
+            counts[row] = forward.simulate_histogram(img, cfg).counts
+            images[row] = scene.normalize_image(img, cfg.z_max)
         except ValueError as exc:
             raise type(exc)(f"scene {index}: {exc}") from exc
-    return RawDataset(counts=counts, images=images, recipe=recipe)
+    return RawDataset(counts=counts, images=images, recipe=recipe, scenes=indices)
 
 
 def finalize(raw: RawDataset, irf_dt_s: float | None = None,
              noise_level: int | None = None) -> store.Dataset:
-    """Apply IRF + noise, normalize to [0, 1], pack as a storable dataset."""
+    """Apply IRF + per-scene noise, normalize to [0, 1], pack as a storable dataset."""
     cfg = raw.recipe.sim
     dt = cfg.irf_dt_s if irf_dt_s is None else irf_dt_s
     level = cfg.noise_level if noise_level is None else noise_level
     spec = forward.NoiseSpec.from_level(level)
-    n = len(raw)
     out = np.zeros_like(raw.counts)
-    for index in range(n):
-        h = forward.Histogram(cfg.bin_width_s, raw.counts[index])
+    for row, index in enumerate(raw.scenes):
+        h = forward.Histogram(cfg.bin_width_s, raw.counts[row])
         if dt > 0:
             h = forward.convolve_irf(h, dt)
         if level > 0:
-            h = forward.add_noise(h, spec, seed=cfg.seed + index)
-        out[index] = forward.normalize_histogram(h)
+            h = forward.add_noise(h, spec, seed=(cfg.seed, NOISE_STREAM, int(index)))
+        out[row] = forward.normalize_histogram(h)
     return store.Dataset(histograms=out, images=raw.images,
                          img_w=cfg.img_w, img_h=cfg.img_h)
 
@@ -134,13 +145,17 @@ def generate_dataset(recipe: DatasetRecipe) -> store.Dataset:
     return finalize(simulate_raw(recipe))
 
 
-def split_dataset(ds: store.Dataset, n_test: int, seed: int):
-    """Seeded shuffle, then (train, test) split with n_test held-out pairs."""
-    n = len(ds)
+def _split_rows(n: int, n_test: int, seed: int):
+    """Seeded shuffle of range(n), split into (train, test) row indices."""
     if not 0 < n_test < n:
         raise ValueError(f"need 0 < n_test < {n}")
     perm = np.random.default_rng(seed).permutation(n)
-    test, train = perm[:n_test], perm[n_test:]
+    return perm[n_test:], perm[:n_test]
+
+
+def split_dataset(ds: store.Dataset, n_test: int, seed: int):
+    """Seeded shuffle, then (train, test) split with n_test held-out pairs."""
+    train, test = _split_rows(len(ds), n_test, seed)
     x, y = ds.histograms, ds.images
     return (x[train], y[train]), (x[test], y[test])
 
@@ -190,28 +205,16 @@ def sweep_noise(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
                 levels=(0, 1, 2, 3)) -> list:
     """Fixed training on clean data; noise is applied to the test inputs."""
     cfg = raw.recipe.sim
-    ds = finalize(raw, noise_level=0)
-    train_pairs, _ = split_dataset(ds, n_test, cfg.seed)
-    model, _ = mlp.train(train_pairs, train_cfg)
-
-    perm = np.random.default_rng(cfg.seed).permutation(len(ds))
-    test_idx = perm[:n_test]
+    train_rows, test_rows = _split_rows(len(raw), n_test, cfg.seed)
+    train = finalize(raw.take(train_rows), noise_level=0)
+    model, _ = mlp.train((train.histograms, train.images), train_cfg)
     points = []
     for level in levels:
         label = f"level{level}"
         try:
-            spec = forward.NoiseSpec.from_level(level)
-            x_test = np.zeros((n_test, cfg.bins))
-            for j, index in enumerate(test_idx):
-                h = forward.Histogram(cfg.bin_width_s, raw.counts[index])
-                if cfg.irf_dt_s > 0:
-                    h = forward.convolve_irf(h, cfg.irf_dt_s)
-                h = forward.add_noise(h, spec, seed=cfg.seed + 7919 + int(index))
-                x_test[j] = forward.normalize_histogram(h)
-            # quantize like stored datasets so level 0 matches clean evaluation
-            x_test = x_test.astype(np.float32)
-            y_test = raw.images[test_idx].astype(np.float32)
-            _, overall = evaluate_model(model, x_test, y_test, cfg.img_w, cfg.img_h)
+            test = finalize(raw.take(test_rows), noise_level=level)
+            _, overall = evaluate_model(model, test.histograms, test.images,
+                                        cfg.img_w, cfg.img_h)
             points.append(SweepPoint(label, overall))
         except SWEEP_ERRORS as exc:
             points.append(SweepPoint(label, None, error=str(exc)))
@@ -245,29 +248,25 @@ def sweep_reflectivity(recipe: DatasetRecipe, train_cfg: mlp.TrainConfig, n_test
 
     Test scenes are identical across ratios; only the silhouette reflectivity
     changes, which rescales its histogram contribution relative to the
-    background.
+    background. Each scene is simulated only where it is trained on or scored.
     """
     if training not in ("fixed", "varied"):
         raise ValueError("training must be 'fixed' or 'varied'")
     cfg = recipe.sim
     train_recipe = recipe if training == "fixed" else replace(
         recipe, reflectivity_range=REFLECTIVITY_TRAIN_RANGE)
-    ds = finalize(simulate_raw(train_recipe))
-    train_pairs, _ = split_dataset(ds, n_test, cfg.seed)
-    model, _ = mlp.train(train_pairs, train_cfg)
-
-    perm = np.random.default_rng(cfg.seed).permutation(recipe.n_scenes)
-    test_idx = set(perm[:n_test].tolist())
+    train_rows, test_rows = _split_rows(recipe.n_scenes, n_test, cfg.seed)
+    train = finalize(simulate_raw(train_recipe, scenes=train_rows))
+    model, _ = mlp.train((train.histograms, train.images), train_cfg)
+    test_rows = np.sort(test_rows)  # scene order fixes the order the mean SSIM sums in
     points = []
     for ratio in ratios:
         label = f"R{ratio:g}"
         try:
             test_recipe = replace(recipe, reflectivity=float(ratio),
                                   reflectivity_range=None)
-            raw_r = simulate_raw(test_recipe)
-            ds_r = finalize(raw_r)
-            idx = sorted(test_idx)
-            _, overall = evaluate_model(model, ds_r.histograms[idx], ds_r.images[idx],
+            test = finalize(simulate_raw(test_recipe, scenes=test_rows))
+            _, overall = evaluate_model(model, test.histograms, test.images,
                                         cfg.img_w, cfg.img_h)
             points.append(SweepPoint(label, overall))
         except SWEEP_ERRORS as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,7 @@ class Dataset:
 
 
 def _atomic_write(path, payload: bytes) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     try:
         with open(tmp, "wb") as fh:
             fh.write(payload)
@@ -229,10 +230,8 @@ def load_silhouette_mask(path) -> np.ndarray:
 
 
 def write_csv(path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    lines = [header] + [",".join(str(v) for v in row) for row in rows]
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def export_ssim_csv(ssim_map: np.ndarray, path) -> None:
@@ -240,6 +239,5 @@ def export_ssim_csv(ssim_map: np.ndarray, path) -> None:
     arr = np.asarray(ssim_map, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D SSIM map")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in arr)
+    _atomic_write(path, text.encode("utf-8"))

@@ -193,7 +193,7 @@ def test_train_deterministic_model_bytes(tmp_path, tiny_config):
     for name in ("r1", "r2"):
         assert run(["train", "--dataset", data_dir / "dataset.tdid",
                     "--out", tmp_path / name, "--config", tiny_config,
-                    "--seed", "11", "--deterministic"]) == 0
+                    "--seed", "11"]) == 0
     assert (tmp_path / "r1/model.tdim").read_bytes() == \
            (tmp_path / "r2/model.tdim").read_bytes()
 
@@ -220,6 +220,25 @@ def test_sweep_noise_csv(tmp_path, tiny_config):
     assert [r.split(",")[0] for r in rows[1:]] == ["level0", "level1", "level2", "level3"]
     for row in rows[1:]:
         float(row.split(",")[1])  # all points scored
+
+
+def test_sweep_reflectivity_csv(tmp_path, tiny_config):
+    out = tmp_path / "sweep_r"
+    assert run(["sweep", "--kind", "reflectivity", "--out", out,
+                "--config", tiny_config, "--epochs", "1", "--n-test", "8",
+                "--reflectivity-training", "varied"]) == 0
+    rows = (out / "sweep.csv").read_text().strip().splitlines()
+    assert rows[0] == "point,mean_ssim"
+    assert [r.split(",")[0] for r in rows[1:]] == ["R0.5", "R1", "R1.5", "R2"]
+    for row in rows[1:]:
+        float(row.split(",")[1])  # all points scored
+    assert "command = sweep:reflectivity" in (out / "manifest.cfg").read_text()
+
+
+def test_write_manifest_into_missing_directory(tmp_path):
+    with pytest.raises(store.StoreError, match="manifest.cfg"):
+        cli.write_manifest(tmp_path / "nope", "gen", {})
+    assert not list(tmp_path.rglob("*.tmp.*"))
 
 
 def test_sweep_dataset_size_grid(tmp_path, tiny_config):

@@ -320,6 +320,28 @@ def test_histogram_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.counts, h.counts, rtol=0, atol=0)
 
 
+def test_histogram_csv_rejects_uneven_bins(tmp_path):
+    h = bump_histogram(bins=16)
+    path = tmp_path / "hist.csv"
+    forward.write_histogram_csv(h, path)
+    lines = path.read_text().splitlines()
+    t, c = lines[1 + 9].split(",")
+    lines[1 + 9] = f"{float(t) + 0.3 * h.bin_width_s!r},{c}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="unevenly spaced: row 9 "):
+        forward.read_histogram_csv(path)
+
+
+def test_histogram_csv_offset_start_reads_back(tmp_path):
+    # a late first bin: the spacing check must not trip on rounding of t0
+    h = forward.Histogram(1.25e-12, bump_histogram(bins=8000).counts, t0_s=1e-6)
+    path = tmp_path / "hist.csv"
+    forward.write_histogram_csv(h, path)
+    back = forward.read_histogram_csv(path)
+    assert back.t0_s == h.t0_s
+    assert back.bin_width_s == pytest.approx(h.bin_width_s, rel=1e-12)
+
+
 def test_histogram_validation():
     with pytest.raises(ValueError):
         forward.Histogram(0.0, np.ones(4))

@@ -279,7 +279,7 @@ def test_train_memorizes_repeated_pair():
 
 def test_train_deterministic_history_and_model():
     x, y = toy_task()
-    cfg = mlp.TrainConfig(epochs=5, batch_size=16, seed=9, deterministic_mode=True)
+    cfg = mlp.TrainConfig(epochs=5, batch_size=16, seed=9)
     m1, h1 = mlp.train((x, y), cfg, hidden_dims=(8,))
     m2, h2 = mlp.train((x, y), cfg, hidden_dims=(8,))
     assert np.array_equal(h1.train_loss, h2.train_loss)

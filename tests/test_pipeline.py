@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from tdi import mlp, pipeline
+from tdi import mlp, pipeline, scene
 
 
 def test_recipe_scene_counts():
@@ -26,6 +26,64 @@ def test_simulate_raw_error_names_scene(tiny_recipe):
     bad = replace(tiny_recipe, sim=tiny_recipe.sim.with_(z_max=2.0))
     with pytest.raises(ValueError, match="scene 0"):
         pipeline.simulate_raw(bad)
+    # a subset names the scene's index, not its row
+    with pytest.raises(ValueError, match="scene 11"):
+        pipeline.simulate_raw(bad, scenes=[11, 3])
+
+
+def test_simulate_raw_subset_matches_full_rows(tiny_recipe):
+    full = pipeline.simulate_raw(tiny_recipe)
+    idx = np.array([7, 0, 23, 7])
+    part = pipeline.simulate_raw(tiny_recipe, scenes=idx)
+    assert np.array_equal(full.scenes, np.arange(tiny_recipe.n_scenes))
+    assert np.array_equal(part.scenes, idx)
+    assert part.counts.tobytes() == full.counts[idx].tobytes()
+    assert part.images.tobytes() == full.images[idx].tobytes()
+    taken = full.take(idx)
+    assert np.array_equal(taken.scenes, idx)
+    assert taken.counts.tobytes() == part.counts.tobytes()
+
+
+@pytest.mark.parametrize("scenes", [[-1], [48], [[0, 1]]])
+def test_simulate_raw_rejects_bad_scene_indices(tiny_recipe, scenes):
+    with pytest.raises(ValueError, match="indices in"):
+        pipeline.simulate_raw(tiny_recipe, scenes=scenes)
+
+
+def test_finalize_subset_matches_full_rows(tiny_recipe):
+    raw = pipeline.simulate_raw(tiny_recipe)
+    rows = np.array([30, 2, 17])
+    full = pipeline.finalize(raw, irf_dt_s=250e-12, noise_level=2)
+    part = pipeline.finalize(raw.take(rows), irf_dt_s=250e-12, noise_level=2)
+    assert part.histograms.tobytes() == full.histograms[rows].tobytes()
+    assert part.images.tobytes() == full.images[rows].tobytes()
+
+
+def _with_seed(recipe, seed, **kw):
+    return replace(recipe, sim=recipe.sim.with_(seed=seed), **kw)
+
+
+def test_noise_streams_differ_across_seed_and_scene(tiny_recipe):
+    # one histogram, keyed as scene i+1 at seed s and as scene i at seed s+1;
+    # `seed + index` seeding gave both the same noise
+    raw = pipeline.simulate_raw(tiny_recipe, scenes=[0])
+    seed = tiny_recipe.sim.seed
+
+    def noisy(s, index):
+        keyed = replace(raw, recipe=_with_seed(tiny_recipe, s), scenes=np.array([index]))
+        return pipeline.finalize(keyed, noise_level=2).histograms[0]
+
+    assert np.array_equal(noisy(seed, 4), noisy(seed, 4))
+    assert not np.array_equal(noisy(seed, 4), noisy(seed + 1, 3))
+
+
+def test_reflectivity_streams_differ_across_seed_and_scene(tiny_recipe):
+    def draws(seed):
+        recipe = _with_seed(tiny_recipe, seed, reflectivity_range=(0.25, 4.0))
+        return np.array([s.placements[0].reflectivity for s in pipeline.build_scenes(recipe)])
+
+    a, b = draws(5), draws(6)
+    assert (a[1:] != b[:-1]).all()
 
 
 def test_finalize_normalizes(tiny_recipe):
@@ -84,16 +142,20 @@ def test_sweep_records_failures_and_continues(tiny_recipe):
     assert [p.label for p in points] == ["16", "10000"]
 
 
-def test_sweep_noise_level_zero_matches_clean_training(tiny_recipe):
+@pytest.mark.parametrize("level", [0, 2])
+def test_sweep_noise_matches_finalize(tiny_recipe, level):
+    # clean training, then the held-out rows of finalize(raw, noise_level=level)
     raw = pipeline.simulate_raw(tiny_recipe)
     tc = mlp.TrainConfig(epochs=2, batch_size=8, seed=0)
-    points = pipeline.sweep_noise(raw, tc, n_test=8, levels=(0,))
-    ds = pipeline.finalize(raw)
-    train_pairs, test_pairs = pipeline.split_dataset(ds, 8, tiny_recipe.sim.seed)
+    points = pipeline.sweep_noise(raw, tc, n_test=8, levels=(level,))
+    seed = tiny_recipe.sim.seed
+    train_pairs, _ = pipeline.split_dataset(pipeline.finalize(raw), 8, seed)
     model, _ = mlp.train(train_pairs, tc)
+    noisy = pipeline.finalize(raw, noise_level=level)
+    _, test_pairs = pipeline.split_dataset(noisy, 8, seed)
     _, overall = pipeline.evaluate_model(model, test_pairs[0], test_pairs[1],
-                                         ds.img_w, ds.img_h)
-    assert points[0].mean_ssim == pytest.approx(overall, abs=1e-12)
+                                         noisy.img_w, noisy.img_h)
+    assert points[0].mean_ssim == overall
 
 
 def test_sweep_reflectivity_modes(tiny_recipe):
@@ -103,6 +165,21 @@ def test_sweep_reflectivity_modes(tiny_recipe):
     assert fixed[0].label == "R1" and fixed[0].mean_ssim is not None
     with pytest.raises(ValueError):
         pipeline.sweep_reflectivity(tiny_recipe, tc, 8, training="sometimes")
+
+
+@pytest.mark.parametrize("training", ["fixed", "varied"])
+def test_sweep_reflectivity_renders_each_used_scene_once(tiny_recipe, monkeypatch,
+                                                         training):
+    # the training scenes once, then the n_test held-out scenes per ratio
+    calls = []
+    render = scene.render
+    monkeypatch.setattr(scene, "render", lambda *a: calls.append(1) or render(*a))
+    tc = mlp.TrainConfig(epochs=1, batch_size=8, seed=0)
+    ratios = (0.5, 1.0, 2.0)
+    points = pipeline.sweep_reflectivity(tiny_recipe, tc, n_test=8, ratios=ratios,
+                                         training=training)
+    assert all(p.mean_ssim is not None for p in points)
+    assert len(calls) == (tiny_recipe.n_scenes - 8) + len(ratios) * 8
 
 
 def run_sweep(name, recipe, tc):

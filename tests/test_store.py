@@ -1,4 +1,6 @@
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -215,6 +217,76 @@ def test_write_errors_surface_path(tmp_path):
     missing = tmp_path / "nope" / "deep.pgm"
     with pytest.raises(store.StoreError, match="deep.pgm"):
         store.export_depth_pgm(np.zeros((2, 2)), missing)
+
+
+CSV_WRITERS = {
+    "write_csv": lambda path: store.write_csv(path, "a,b", [(1, 2), (3, 4)]),
+    "export_ssim_csv": lambda path: store.export_ssim_csv(np.zeros((2, 2)), path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_WRITERS))
+def test_csv_write_into_missing_directory(tmp_path, name):
+    with pytest.raises(store.StoreError, match="out.csv"):
+        CSV_WRITERS[name](tmp_path / "nope" / "out.csv")
+    assert not list(tmp_path.rglob("*.tmp.*"))
+
+
+@pytest.mark.parametrize("name", sorted(CSV_WRITERS))
+def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch, name):
+    path = tmp_path / "out.csv"
+    path.write_text("previous\n")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(store.os, "replace", refuse)
+    with pytest.raises(store.StoreError, match="disk full"):
+        CSV_WRITERS[name](path)
+    assert path.read_text() == "previous\n"
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
+def test_write_csv_failing_rows_keep_previous_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("previous\n")
+
+    def rows():
+        yield (1, 2)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        store.write_csv(path, "a,b", rows())
+    assert path.read_text() == "previous\n"
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
+def test_concurrent_writes_to_one_path(tmp_path):
+    # each thread has its own temp file, so no writer loses its rename
+    path = tmp_path / "shared.csv"
+    errors = []
+
+    def writer(k):
+        try:
+            for _ in range(25):
+                store.write_csv(path, "k", [(k,)])
+        except store.StoreError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert path.read_text() in {f"k\n{k}\n" for k in range(4)}
+    assert not list(tmp_path.glob("*.tmp.*"))
 
 
 def test_ssim_csv_export(tmp_path):
