@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, forward, metrics, mlp, pipeline, store
+from .atomic import write_atomic
 from .config import (SimConfig, load_sim_config, parse_config_text,
                      sim_config_items)
 
@@ -37,7 +38,7 @@ def write_manifest(out_dir, command: str, extra: dict, cfg: SimConfig | None = N
         lines += [f"{k} = {v}" for k, v in sim_config_items(cfg)]
     lines += [f"{k} = {v}" for k, v in extra.items()]
     path = os.path.join(out_dir, "manifest.cfg")
-    store._atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
 
@@ -208,8 +209,7 @@ def cmd_sweep(args) -> int:
         elif args.kind == "noise":
             points = pipeline.sweep_noise(raw, tc, n_test)
         else:
-            sizes = [s for s in pipeline.DATASET_SIZE_SWEEP if s <= len(raw) - n_test]
-            points = pipeline.sweep_dataset_size(raw, tc, n_test, sizes=sizes)
+            points = pipeline.sweep_dataset_size(raw, tc, n_test)
 
     rows = []
     for p in points:

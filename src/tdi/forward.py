@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_atomic
 from .config import NOISE_FRACTIONS, SPEED_OF_LIGHT, SimConfig
 from .scene import DepthImage, pixel_offsets
 
@@ -95,10 +96,9 @@ def simulate_histogram(img: DepthImage, cfg: SimConfig) -> Histogram:
         raise ValueError(
             f"image is {img.depth_m.shape}, config expects {(cfg.img_h, cfg.img_w)}")
 
-    counts = np.zeros(cfg.bins, dtype=np.float64)
     rows, cols = np.nonzero(img.depth_m > 0)
     if rows.size == 0:
-        return Histogram(cfg.bin_width_s, counts)
+        return Histogram(cfg.bin_width_s, np.zeros(cfg.bins))
 
     f = cfg.focal_px
     z = img.depth_m[rows, cols]
@@ -117,8 +117,11 @@ def simulate_histogram(img: DepthImage, cfg: SimConfig) -> Histogram:
             f"{cfg.bins * cfg.bin_width_s:.3e} s")
 
     photons = img.reflectance[rows, cols] * cfg.p0 / r ** 4
-    order = np.lexsort((photons, bins))
-    np.add.at(counts, bins[order], photons[order])
+    # bincount adds its weights in array order, so after sorting by value each
+    # bin sums its photons in ascending order; equal values may swap places
+    # without changing a bit
+    order = np.argsort(photons)
+    counts = np.bincount(bins[order], weights=photons[order], minlength=cfg.bins)
     return Histogram(cfg.bin_width_s, counts)
 
 
@@ -192,12 +195,9 @@ def normalize_histogram(h: Histogram) -> np.ndarray:
 
 
 def write_histogram_csv(h: Histogram, path) -> None:
-    """CSV export: header `bin_start_s,count`, one row per bin."""
-    starts = h.bin_starts()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_start_s,count\n")
-        for t, c in zip(starts, h.counts):
-            fh.write(f"{float(t)!r},{float(c)!r}\n")
+    """CSV export: header `bin_start_s,count`, one row per bin; written atomically."""
+    rows = "".join(f"{float(t)!r},{float(c)!r}\n" for t, c in zip(h.bin_starts(), h.counts))
+    write_atomic(path, ("bin_start_s,count\n" + rows).encode("utf-8"))
 
 
 def read_histogram_csv(path) -> Histogram:

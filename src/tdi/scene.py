@@ -295,18 +295,8 @@ def placement_footprint(p: Placement, cfg: SimConfig) -> np.ndarray:
     return _silhouette_footprint(p.silhouette, p.x, p.y, p.z, cfg)
 
 
-def render(scene: Scene, cfg: SimConfig) -> DepthImage:
-    """Project a scene to a depth + reflectance image (nearest surface wins).
-
-    The background wall fills the frame, background boxes and silhouettes
-    overwrite pixels they cover whenever they are closer than what is
-    already there. Placements that project fully outside the frame simply
-    leave no footprint.
-    """
-    bg = scene.background
-    if bg.wall_depth_m > cfg.z_max:
-        raise ValueError(f"wall depth {bg.wall_depth_m} m exceeds z_max {cfg.z_max} m")
-
+def render_background(bg: Background, cfg: SimConfig) -> DepthImage:
+    """The background alone: the wall fills the frame, closer boxes overwrite it."""
     depth = np.full((cfg.img_h, cfg.img_w), bg.wall_depth_m, dtype=np.float64)
     refl = np.full((cfg.img_h, cfg.img_w), bg.wall_reflectivity, dtype=np.float64)
 
@@ -323,6 +313,26 @@ def render(scene: Scene, cfg: SimConfig) -> DepthImage:
             hit = np.outer(in_y, in_x) & (box.z < depth)
             depth[hit] = box.z
             refl[hit] = box.reflectivity
+    return DepthImage(depth_m=depth, reflectance=refl)
+
+
+def render(scene: Scene, cfg: SimConfig, backdrop: DepthImage | None = None) -> DepthImage:
+    """Project a scene to a depth + reflectance image (nearest surface wins).
+
+    The background wall fills the frame, background boxes and silhouettes
+    overwrite pixels they cover whenever they are closer than what is
+    already there. Placements that project fully outside the frame simply
+    leave no footprint. `backdrop`, when given, must be
+    `render_background(scene.background, cfg)`; placements are drawn onto a
+    copy of it, so one background render serves many scenes.
+    """
+    bg = scene.background
+    if bg.wall_depth_m > cfg.z_max:
+        raise ValueError(f"wall depth {bg.wall_depth_m} m exceeds z_max {cfg.z_max} m")
+
+    if backdrop is None:
+        backdrop = render_background(bg, cfg)
+    depth, refl = backdrop.depth_m.copy(), backdrop.reflectance.copy()
 
     for p in scene.placements:
         if not (cfg.z_min <= p.z <= cfg.z_max):

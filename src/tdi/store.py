@@ -14,13 +14,12 @@ partially written file.
 
 from __future__ import annotations
 
-import os
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import StoreError, write_atomic
 from .mlp import MlpModel
 
 DATASET_MAGIC = b"TDID"
@@ -28,10 +27,6 @@ MODEL_MAGIC = b"TDIM"
 FORMAT_VERSION = 1
 
 _F4 = np.dtype("<f4")
-
-
-class StoreError(Exception):
-    """Base class for persistence failures."""
 
 
 class BadMagicError(StoreError):
@@ -79,19 +74,6 @@ class Dataset:
         return self.histograms.shape[1]
 
 
-def _atomic_write(path, payload: bytes) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise StoreError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def _read_exact(fh, n: int, path, what: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
@@ -102,8 +84,8 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
 def write_dataset(path, dataset: Dataset) -> None:
     header = struct.pack("<4sIIIII", DATASET_MAGIC, FORMAT_VERSION,
                          dataset.bins, dataset.img_w, dataset.img_h, len(dataset))
-    records = np.hstack([dataset.histograms, dataset.images])
-    _atomic_write(path, header + records.astype(_F4).tobytes())
+    records = np.hstack([dataset.histograms, dataset.images], dtype=_F4)
+    write_atomic(path, header, records)
 
 
 def read_dataset(path) -> Dataset:
@@ -134,9 +116,9 @@ def write_model(path, model) -> None:
     parts = [struct.pack("<4sII", MODEL_MAGIC, FORMAT_VERSION, len(dims)),
              struct.pack(f"<{len(dims)}I", *dims)]
     for w, b in zip(model.weights, model.biases):
-        parts.append(np.ascontiguousarray(w, dtype=_F4).tobytes())
-        parts.append(np.ascontiguousarray(b, dtype=_F4).tobytes())
-    _atomic_write(path, b"".join(parts))
+        parts.append(np.ascontiguousarray(w, dtype=_F4))
+        parts.append(np.ascontiguousarray(b, dtype=_F4))
+    write_atomic(path, *parts)
 
 
 def read_model(path):
@@ -179,7 +161,7 @@ def export_depth_pgm(img: np.ndarray, path) -> None:
         raise ValueError("image must be normalized to [0, 1]")
     values = np.round(arr * 65535.0).astype(">u2")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode("ascii")
-    _atomic_write(path, header + values.tobytes())
+    write_atomic(path, header + values.tobytes())
 
 
 def export_ssim_pgm(ssim_map: np.ndarray, path) -> None:
@@ -189,7 +171,7 @@ def export_ssim_pgm(ssim_map: np.ndarray, path) -> None:
         raise ValueError("expected a 2-D SSIM map")
     values = np.round(np.clip((arr + 1.0) / 2.0, 0.0, 1.0) * 255.0).astype(np.uint8)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    _atomic_write(path, header + values.tobytes())
+    write_atomic(path, header + values.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -231,7 +213,7 @@ def load_silhouette_mask(path) -> np.ndarray:
 
 def write_csv(path, header: str, rows) -> None:
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def export_ssim_csv(ssim_map: np.ndarray, path) -> None:
@@ -240,4 +222,4 @@ def export_ssim_csv(ssim_map: np.ndarray, path) -> None:
     if arr.ndim != 2:
         raise ValueError("expected a 2-D SSIM map")
     text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in arr)
-    _atomic_write(path, text.encode("utf-8"))
+    write_atomic(path, text.encode("utf-8"))

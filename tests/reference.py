@@ -98,3 +98,50 @@ def sum_expected_photons(img, cfg) -> float:
             r2 = x * x + y * y + z * z
             total.append(img.reflectance[i, j] * cfg.p0 / (r2 * r2))
     return math.fsum(total)
+
+
+def serial_render(sc, cfg):
+    """Whole-scene render as one pass: wall, every box, then every placement."""
+    from tdi import scene
+
+    bg = sc.background
+    if bg.wall_depth_m > cfg.z_max:
+        raise ValueError(f"wall depth {bg.wall_depth_m} m exceeds z_max {cfg.z_max} m")
+    depth = np.full((cfg.img_h, cfg.img_w), bg.wall_depth_m, dtype=np.float64)
+    refl = np.full((cfg.img_h, cfg.img_w), bg.wall_reflectivity, dtype=np.float64)
+    u = scene.pixel_offsets(cfg.img_w)
+    v = scene.pixel_offsets(cfg.img_h)
+    f = cfg.focal_px
+    if not bg.uniform:
+        for box in bg.objects:
+            in_x = np.abs((u / f) * box.z - box.x) <= box.width / 2.0
+            in_y = np.abs(-(v / f) * box.z - box.y) <= box.height / 2.0
+            hit = np.outer(in_y, in_x) & (box.z < depth)
+            depth[hit] = box.z
+            refl[hit] = box.reflectivity
+    for p in sc.placements:
+        if not (cfg.z_min <= p.z <= cfg.z_max):
+            raise ValueError(f"placement depth {p.z} m outside configured range")
+        hit = scene.placement_footprint(p, cfg) & (p.z < depth)
+        depth[hit] = p.z
+        refl[hit] = p.reflectivity
+    return scene.DepthImage(depth_m=depth, reflectance=refl)
+
+
+def lexsort_histogram(img, cfg) -> np.ndarray:
+    """Expected counts summed pixel by pixel in (bin, value) order with np.add.at."""
+    from tdi import scene
+    from tdi.config import SPEED_OF_LIGHT
+
+    counts = np.zeros(cfg.bins, dtype=np.float64)
+    rows, cols = np.nonzero(img.depth_m > 0)
+    z = img.depth_m[rows, cols]
+    x = (scene.pixel_offsets(cfg.img_w)[cols] / cfg.focal_px) * z
+    y = -(scene.pixel_offsets(cfg.img_h)[rows] / cfg.focal_px) * z
+    r = np.sqrt(x * x + y * y + z * z)
+    factor = 2.0 if cfg.time_convention == "round_trip" else 1.0
+    bins = np.floor(factor * r / SPEED_OF_LIGHT / cfg.bin_width_s).astype(np.int64)
+    photons = img.reflectance[rows, cols] * cfg.p0 / r ** 4
+    order = np.lexsort((photons, bins))
+    np.add.at(counts, bins[order], photons[order])
+    return counts

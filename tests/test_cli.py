@@ -241,12 +241,21 @@ def test_write_manifest_into_missing_directory(tmp_path):
     assert not list(tmp_path.rglob("*.tmp.*"))
 
 
-def test_sweep_dataset_size_grid(tmp_path, tiny_config):
+def test_sweep_dataset_size_grid(tmp_path, capsys):
+    # 2 x 10 x 16 x 2 = 640 scenes, 100 held out: a pool of 540 pairs, so the
+    # grid's first size trains and the three above the pool are failed rows
+    config = tmp_path / "pool.cfg"
+    config.write_text(TINY_CONFIG.replace("depth_steps = 3", "depth_steps = 10")
+                      .replace("lateral_steps = 4", "lateral_steps = 16"))
     out = tmp_path / "sweep_n"
     assert run(["sweep", "--kind", "dataset-size", "--out", out,
-                "--config", tiny_config, "--epochs", "1", "--n-test", "8"]) == 0
-    rows = (out / "sweep.csv").read_text().strip().splitlines()
-    assert len(rows) >= 1  # grid entries above the pool size are dropped
+                "--config", config, "--epochs", "1", "--n-test", "100"]) == 0
+    rows = [line.split(",") for line in
+            (out / "sweep.csv").read_text().strip().splitlines()[1:]]
+    assert [label for label, _ in rows] == ["500", "1000", "2000", "4000"]
+    assert float(rows[0][1]) > 0
+    assert [value for _, value in rows[1:]] == ["failed"] * 3
+    assert "pool has 540" in capsys.readouterr().err
 
 
 def test_cli_error_paths(tmp_path, capsys):

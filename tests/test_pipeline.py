@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from tdi import mlp, pipeline, scene
+from reference import lexsort_histogram, serial_render
+from tdi import forward, mlp, pipeline, scene
 
 
 def test_recipe_scene_counts():
@@ -42,6 +45,89 @@ def test_simulate_raw_subset_matches_full_rows(tiny_recipe):
     taken = full.take(idx)
     assert np.array_equal(taken.scenes, idx)
     assert taken.counts.tobytes() == part.counts.tobytes()
+
+
+def test_simulate_raw_matches_serial_reference(tiny_recipe):
+    # every scene rendered whole and summed in (bin, value) order by np.add.at
+    cfg = tiny_recipe.sim
+    built = pipeline.build_scenes(tiny_recipe)
+    # the outermost lateral positions put half a silhouette past the frame
+    assert any(scene.placement_footprint(sc.placements[0], cfg)[:, [0, -1]].any()
+               for sc in built)
+    imgs = [serial_render(sc, cfg) for sc in built]
+    for sc, img in zip(built, imgs):
+        mine = scene.render(sc, cfg)
+        assert mine.depth_m.tobytes() == img.depth_m.tobytes()
+        assert mine.reflectance.tobytes() == img.reflectance.tobytes()
+    raw = pipeline.simulate_raw(tiny_recipe)
+    assert raw.counts.tobytes() == np.array([lexsort_histogram(i, cfg) for i in imgs]).tobytes()
+    assert raw.images.tobytes() == \
+        np.array([scene.normalize_image(i, cfg.z_max) for i in imgs]).tobytes()
+
+
+def test_finalize_matches_serial_loop(tiny_recipe):
+    raw = pipeline.simulate_raw(tiny_recipe)
+    cfg = tiny_recipe.sim
+    spec = forward.NoiseSpec.from_level(2)
+    rows = []
+    for counts, index in zip(raw.counts, raw.scenes):
+        h = forward.convolve_irf(forward.Histogram(cfg.bin_width_s, counts), 250e-12)
+        h = forward.add_noise(h, spec, seed=(cfg.seed, pipeline.NOISE_STREAM, int(index)))
+        rows.append(forward.normalize_histogram(h))
+    ds = pipeline.finalize(raw, irf_dt_s=250e-12, noise_level=2)
+    assert ds.histograms.tobytes() == np.array(rows, dtype=np.float32).tobytes()
+    assert ds.images.tobytes() == raw.images.astype(np.float32).tobytes()
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """Split finalize's rows into `n` chunks, whatever the histogram length or core count."""
+    def use(n):
+        monkeypatch.setattr(pipeline, "_THREADED_MIN_BINS", 0)
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: n)
+    return use
+
+
+def test_pooled_rows_match_inline_rows(tiny_recipe, chunks):
+    raw = pipeline.simulate_raw(tiny_recipe)
+    chunks(1)
+    inline = pipeline.finalize(raw, irf_dt_s=250e-12, noise_level=2)
+    chunks(3)   # more threads than most hosts have cores, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = pipeline.finalize(raw, irf_dt_s=250e-12, noise_level=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled.histograms.tobytes() == inline.histograms.tobytes()
+    assert pooled.images.tobytes() == inline.images.tobytes()
+
+
+def test_first_failing_row_wins_across_chunks(tiny_recipe, chunks):
+    # two chunks of 24 rows; the second fails on its first row, before the
+    # first chunk reaches its last row, yet the error names the lower scene
+    raw = pipeline.simulate_raw(tiny_recipe)
+    raw.counts[[23, 24, 40], 5] = np.nan
+    chunks(2)
+    with pytest.raises(ValueError, match="^scene 23: counts must be finite"):
+        pipeline.finalize(raw)
+
+
+def test_unexpected_error_in_a_row_propagates_unchanged(tiny_recipe, chunks, monkeypatch):
+    bug = TypeError("a bug, not a bad scene")
+    add_noise = forward.add_noise
+
+    def flaky(h, spec, seed):
+        if seed[2] in (30, 31):
+            raise bug
+        return add_noise(h, spec, seed)
+
+    raw = pipeline.simulate_raw(tiny_recipe)
+    chunks(2)
+    monkeypatch.setattr(forward, "add_noise", flaky)
+    with pytest.raises(TypeError) as caught:
+        pipeline.finalize(raw, noise_level=1)
+    assert caught.value is bug
 
 
 @pytest.mark.parametrize("scenes", [[-1], [48], [[0, 1]]])

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from tdi import mlp, store
+from tdi import atomic, forward, mlp, store
 
 
 def random_dataset(n=5, bins=32, w=4, h=4, seed=0):
@@ -222,6 +222,8 @@ def test_write_errors_surface_path(tmp_path):
 CSV_WRITERS = {
     "write_csv": lambda path: store.write_csv(path, "a,b", [(1, 2), (3, 4)]),
     "export_ssim_csv": lambda path: store.export_ssim_csv(np.zeros((2, 2)), path),
+    "write_histogram_csv": lambda path: forward.write_histogram_csv(
+        forward.Histogram(1e-11, np.ones(4)), path),
 }
 
 
@@ -240,7 +242,7 @@ def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch, name):
     def refuse(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(store.os, "replace", refuse)
+    monkeypatch.setattr(atomic.os, "replace", refuse)
     with pytest.raises(store.StoreError, match="disk full"):
         CSV_WRITERS[name](path)
     assert path.read_text() == "previous\n"
