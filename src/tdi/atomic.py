@@ -15,11 +15,14 @@ class StoreError(Exception):
     """Base class for persistence failures."""
 
 
-def write_atomic(path, *chunks) -> None:
-    """Write the chunks (bytes or C-contiguous arrays) to `path`, in order.
+def write_atomic(path, chunks) -> None:
+    """Write an iterable of chunks (bytes or C-contiguous arrays) to `path`, in order.
 
-    The temp name is unique per process and thread, so concurrent writers
-    of one path never share a temp file; the last rename wins.
+    The iterable is consumed lazily: each chunk is written before the next is
+    asked for, so a generator may hand out one reused buffer. If it raises,
+    the previous file stays as it was. The temp name is unique per process
+    and thread, so concurrent writers of one path never share a temp file;
+    the last rename wins.
     """
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     try:

@@ -38,7 +38,7 @@ def write_manifest(out_dir, command: str, extra: dict, cfg: SimConfig | None = N
         lines += [f"{k} = {v}" for k, v in sim_config_items(cfg)]
     lines += [f"{k} = {v}" for k, v in extra.items()]
     path = os.path.join(out_dir, "manifest.cfg")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
     return path
 
 

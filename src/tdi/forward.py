@@ -197,7 +197,7 @@ def normalize_histogram(h: Histogram) -> np.ndarray:
 def write_histogram_csv(h: Histogram, path) -> None:
     """CSV export: header `bin_start_s,count`, one row per bin; written atomically."""
     rows = "".join(f"{float(t)!r},{float(c)!r}\n" for t, c in zip(h.bin_starts(), h.counts))
-    write_atomic(path, ("bin_start_s,count\n" + rows).encode("utf-8"))
+    write_atomic(path, [("bin_start_s,count\n" + rows).encode("utf-8")])
 
 
 def read_histogram_csv(path) -> Histogram:

@@ -142,20 +142,26 @@ def mse_loss(y: np.ndarray, s: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def _loss_and_grads(model: MlpModel, x: np.ndarray, s: np.ndarray):
+def _loss_and_grads(model: MlpModel, x: np.ndarray, s: np.ndarray, out=None):
+    """Batch loss and gradients (weights, then biases).
+
+    With `out`, a list of arrays shaped and typed like the parameters, the
+    gradients are written into it and it is returned; otherwise they are
+    new arrays.
+    """
     acts = _activations(model, x)
     diff = (acts[-1] - s).astype(np.float64, copy=False)
     loss = float(np.mean(diff * diff))
     n = x.shape[0] * s.shape[1]
     delta = (2.0 / n) * (acts[-1] - s)           # d loss / d output
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = delta.T @ acts[i]
-        grads_b[i] = delta.sum(axis=0)
+    layers = len(model.weights)
+    grads = [None] * (2 * layers) if out is None else out
+    for i in range(layers - 1, -1, -1):
+        grads[i] = np.matmul(delta.T, acts[i], out=grads[i])
+        grads[layers + i] = np.sum(delta, axis=0, out=grads[layers + i])
         if i > 0:
             delta = (delta @ model.weights[i]) * (1.0 - acts[i] * acts[i])  # tanh'
-    return loss, grads_w + grads_b
+    return loss, grads
 
 
 def gradients(model: MlpModel, batch_x: np.ndarray, batch_s: np.ndarray) -> list:
@@ -234,7 +240,9 @@ def train(dataset, config: TrainConfig, model: MlpModel | None = None,
     The shuffled tail (validation_fraction of the data) is held out once,
     before the first epoch, and scored after every epoch; the rest is
     reshuffled each epoch with the seeded generator. Runs
-    epochs * ceil(n_train / batch_size) Adam steps.
+    epochs * ceil(n_train / batch_size) Adam steps. Besides the data, it
+    holds the model, the two Adam moments and one gradient set, which every
+    step overwrites.
     """
     x, y = dataset
     x = np.asarray(x)
@@ -263,6 +271,7 @@ def train(dataset, config: TrainConfig, model: MlpModel | None = None,
     train_idx = perm[: x.shape[0] - n_val]
 
     state = AdamState.zeros_like(model)
+    grads = [np.empty_like(p) for p in model.weights + model.biases]  # reused every step
     train_hist = np.zeros(config.epochs)
     val_hist = np.full(config.epochs, np.nan)
     t = 0
@@ -271,7 +280,7 @@ def train(dataset, config: TrainConfig, model: MlpModel | None = None,
         seen = 0.0
         for start in range(0, order.size, config.batch_size):
             batch = order[start: start + config.batch_size]
-            loss, grads = _loss_and_grads(model, x[batch], y[batch])
+            loss, _ = _loss_and_grads(model, x[batch], y[batch], out=grads)
             t += 1
             adam_step(model, grads, state, t, config)
             seen += loss * batch.size

@@ -265,13 +265,15 @@ def sweep_irf(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
               dts=IRF_SWEEP_S) -> list:
     """Retrain once per IRF width on re-blurred histograms; score test SSIM."""
     cfg = raw.recipe.sim
+    train_rows, test_rows = _split_rows(len(raw), n_test, cfg.seed)
     points = []
     for dt in dts:
         label = f"{dt * 1e12:g}ps"
         try:
-            ds = finalize(raw, irf_dt_s=dt)
-            train_pairs, test_pairs = split_dataset(ds, n_test, cfg.seed)
-            score = _train_and_score(train_pairs, test_pairs, train_cfg,
+            train = finalize(raw.take(train_rows), irf_dt_s=dt)
+            test = finalize(raw.take(test_rows), irf_dt_s=dt)
+            score = _train_and_score((train.histograms, train.images),
+                                     (test.histograms, test.images), train_cfg,
                                      cfg.img_w, cfg.img_h)
             points.append(SweepPoint(label, score))
         except SWEEP_ERRORS as exc:  # record and continue with the other points
@@ -303,17 +305,18 @@ def sweep_dataset_size(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
                        sizes=DATASET_SIZE_SWEEP) -> list:
     """Retrain on nested subsets of the training pool; shared test set."""
     cfg = raw.recipe.sim
-    ds = finalize(raw)
-    train_pairs, test_pairs = split_dataset(ds, n_test, cfg.seed)
+    train_rows, test_rows = _split_rows(len(raw), n_test, cfg.seed)
+    train = finalize(raw.take(train_rows))
+    test = finalize(raw.take(test_rows))
     points = []
     for size in sizes:
         label = str(size)
         try:
-            if size > train_pairs[0].shape[0]:
-                raise ValueError(
-                    f"requested {size} training pairs, pool has {train_pairs[0].shape[0]}")
-            subset = (train_pairs[0][:size], train_pairs[1][:size])
-            score = _train_and_score(subset, test_pairs, train_cfg, cfg.img_w, cfg.img_h)
+            if size > len(train):
+                raise ValueError(f"requested {size} training pairs, pool has {len(train)}")
+            subset = (train.histograms[:size], train.images[:size])
+            score = _train_and_score(subset, (test.histograms, test.images), train_cfg,
+                                     cfg.img_w, cfg.img_h)
             points.append(SweepPoint(label, score))
         except SWEEP_ERRORS as exc:
             points.append(SweepPoint(label, None, error=str(exc)))

@@ -9,11 +9,14 @@ Model file ("TDIM"): magic 4s | version u32 | n_dims u32 | n_dims * u32 dims,
 then per layer: weights row-major float32, biases float32.
 
 Writes go through a temp file + atomic rename, so readers never observe a
-partially written file.
+partially written file. Dataset records are streamed through one reused
+buffer of about _BLOCK_BYTES in both directions, and model layers are read
+straight into their arrays, so no whole-payload copy is ever made.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -27,6 +30,8 @@ MODEL_MAGIC = b"TDIM"
 FORMAT_VERSION = 1
 
 _F4 = np.dtype("<f4")
+# Bytes of dataset records staged per read or write; a whole record when larger.
+_BLOCK_BYTES = 1 << 20
 
 
 class BadMagicError(StoreError):
@@ -61,7 +66,7 @@ class Dataset:
             raise ValueError("histogram and image record counts differ")
         if self.images.shape[1] != self.img_w * self.img_h:
             raise ValueError("image vector length does not match img_w * img_h")
-        if not np.isfinite(self.histograms).all() or not np.isfinite(self.images).all():
+        if not (_finite(self.histograms) and _finite(self.images)):
             raise ValueError("stored values must be finite")
         if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
             raise ValueError("images must be normalized to [0, 1]")
@@ -74,6 +79,11 @@ class Dataset:
         return self.histograms.shape[1]
 
 
+def _finite(arr: np.ndarray) -> bool:
+    """No NaN or inf, without a full-size mask: min and max propagate NaN."""
+    return not arr.size or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def _read_exact(fh, n: int, path, what: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
@@ -81,11 +91,34 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     return data
 
 
+def _read_into(fh, arr: np.ndarray, path, what: str) -> None:
+    """Fill a C-contiguous array from the file, or raise TruncatedFileError."""
+    if fh.readinto(arr) != arr.nbytes:
+        raise TruncatedFileError(f"{path}: truncated while reading {what}")
+
+
+def _record_blocks(n: int, record_len: int):
+    """(first row, buffer) per block of n records; every block reuses one buffer."""
+    rows = max(1, _BLOCK_BYTES // max(1, 4 * record_len))
+    block = np.empty((min(n, rows), record_len), dtype=_F4)
+    for lo in range(0, n, rows):
+        yield lo, block[: min(rows, n - lo)]
+
+
+def _dataset_chunks(header: bytes, dataset: Dataset):
+    """The header, then the records, assembled block by block."""
+    yield header
+    bins = dataset.bins
+    for lo, part in _record_blocks(len(dataset), bins + dataset.images.shape[1]):
+        part[:, :bins] = dataset.histograms[lo: lo + len(part)]
+        part[:, bins:] = dataset.images[lo: lo + len(part)]
+        yield part
+
+
 def write_dataset(path, dataset: Dataset) -> None:
     header = struct.pack("<4sIIIII", DATASET_MAGIC, FORMAT_VERSION,
                          dataset.bins, dataset.img_w, dataset.img_h, len(dataset))
-    records = np.hstack([dataset.histograms, dataset.images], dtype=_F4)
-    write_atomic(path, header, records)
+    write_atomic(path, _dataset_chunks(header, dataset))
 
 
 def read_dataset(path) -> Dataset:
@@ -97,18 +130,21 @@ def read_dataset(path) -> Dataset:
         if version != FORMAT_VERSION:
             raise VersionError(f"{path}: format version {version}, reader supports {FORMAT_VERSION}")
         record_len = bins + img_w * img_h
-        payload = fh.read()
-    expected = n * record_len * 4
-    if len(payload) < expected:
-        raise TruncatedFileError(
-            f"{path}: expected {expected} payload bytes for {n} records, got {len(payload)}")
-    if len(payload) > expected:
-        raise HeaderMismatchError(
-            f"{path}: {len(payload) - expected} trailing bytes beyond the declared {n} records")
-    flat = np.frombuffer(payload, dtype=_F4).reshape(n, record_len) if n else \
-        np.zeros((0, record_len), dtype=_F4)
-    return Dataset(histograms=flat[:, :bins].copy(), images=flat[:, bins:].copy(),
-                   img_w=img_w, img_h=img_h)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = n * record_len * 4
+        if size < expected:
+            raise TruncatedFileError(
+                f"{path}: expected {expected} payload bytes for {n} records, got {size}")
+        if size > expected:
+            raise HeaderMismatchError(
+                f"{path}: {size - expected} trailing bytes beyond the declared {n} records")
+        histograms = np.empty((n, bins), dtype=_F4)
+        images = np.empty((n, img_w * img_h), dtype=_F4)
+        for lo, part in _record_blocks(n, record_len):
+            _read_into(fh, part, path, "records")
+            histograms[lo: lo + len(part)] = part[:, :bins]
+            images[lo: lo + len(part)] = part[:, bins:]
+    return Dataset(histograms=histograms, images=images, img_w=img_w, img_h=img_h)
 
 
 def write_model(path, model) -> None:
@@ -118,7 +154,7 @@ def write_model(path, model) -> None:
     for w, b in zip(model.weights, model.biases):
         parts.append(np.ascontiguousarray(w, dtype=_F4))
         parts.append(np.ascontiguousarray(b, dtype=_F4))
-    write_atomic(path, *parts)
+    write_atomic(path, parts)
 
 
 def read_model(path):
@@ -131,20 +167,17 @@ def read_model(path):
         if n_dims < 2:
             raise HeaderMismatchError(f"{path}: model needs at least 2 layer dims, got {n_dims}")
         dims = struct.unpack(f"<{n_dims}I", _read_exact(fh, 4 * n_dims, path, "layer dims"))
-        payload = fh.read()
-    expected = sum(4 * (dout * din + dout) for din, dout in zip(dims[:-1], dims[1:]))
-    if len(payload) < expected:
-        raise TruncatedFileError(f"{path}: expected {expected} parameter bytes, got {len(payload)}")
-    if len(payload) > expected:
-        raise HeaderMismatchError(f"{path}: {len(payload) - expected} trailing parameter bytes")
-    weights, biases = [], []
-    offset = 0
-    buf = np.frombuffer(payload, dtype=_F4)
-    for din, dout in zip(dims[:-1], dims[1:]):
-        weights.append(buf[offset: offset + dout * din].reshape(dout, din).copy())
-        offset += dout * din
-        biases.append(buf[offset: offset + dout].copy())
-        offset += dout
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = sum(4 * (dout * din + dout) for din, dout in zip(dims[:-1], dims[1:]))
+        if size < expected:
+            raise TruncatedFileError(f"{path}: expected {expected} parameter bytes, got {size}")
+        if size > expected:
+            raise HeaderMismatchError(f"{path}: {size - expected} trailing parameter bytes")
+        weights = [np.empty((dout, din), dtype=_F4) for din, dout in zip(dims[:-1], dims[1:])]
+        biases = [np.empty(dout, dtype=_F4) for dout in dims[1:]]
+        for w, b in zip(weights, biases):
+            _read_into(fh, w, path, "weights")
+            _read_into(fh, b, path, "biases")
     return MlpModel(weights, biases)
 
 
@@ -161,7 +194,7 @@ def export_depth_pgm(img: np.ndarray, path) -> None:
         raise ValueError("image must be normalized to [0, 1]")
     values = np.round(arr * 65535.0).astype(">u2")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode("ascii")
-    write_atomic(path, header + values.tobytes())
+    write_atomic(path, [header + values.tobytes()])
 
 
 def export_ssim_pgm(ssim_map: np.ndarray, path) -> None:
@@ -171,7 +204,7 @@ def export_ssim_pgm(ssim_map: np.ndarray, path) -> None:
         raise ValueError("expected a 2-D SSIM map")
     values = np.round(np.clip((arr + 1.0) / 2.0, 0.0, 1.0) * 255.0).astype(np.uint8)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    write_atomic(path, header + values.tobytes())
+    write_atomic(path, [header + values.tobytes()])
 
 
 def read_pgm(path) -> np.ndarray:
@@ -213,7 +246,7 @@ def load_silhouette_mask(path) -> np.ndarray:
 
 def write_csv(path, header: str, rows) -> None:
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def export_ssim_csv(ssim_map: np.ndarray, path) -> None:
@@ -222,4 +255,4 @@ def export_ssim_csv(ssim_map: np.ndarray, path) -> None:
     if arr.ndim != 2:
         raise ValueError("expected a 2-D SSIM map")
     text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in arr)
-    write_atomic(path, text.encode("utf-8"))
+    write_atomic(path, [text.encode("utf-8")])

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,3 +15,16 @@ def tiny_recipe():
     sim = pipeline.desk_sim(seed=5).with_(img_w=16, img_h=16, bins=400)
     return pipeline.DatasetRecipe(sim=sim, n_silhouettes=2, depth_steps=3,
                                   lateral_steps=4)
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes allocated through Python and numpy while running fn()."""
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return measure

@@ -5,6 +5,7 @@ textbook formulas) so it shares no code path with the package.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -71,6 +72,37 @@ def textbook_adam(params, grads_per_step, lr=1e-3, beta1=0.9, beta2=0.999, eps=1
             v_hat = v[i] / (1.0 - beta2 ** t)
             params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
     return params
+
+
+def reference_train(x, y, config, model):
+    """mlp.train's batch schedule, one fresh gradients() list and adam_step per batch.
+
+    Same seeded permutation, validation tail and per-epoch reshuffle as
+    mlp.train; returns the trained model (updated in place).
+    """
+    from tdi import mlp
+
+    rng = np.random.default_rng(config.seed)
+    perm = rng.permutation(x.shape[0])
+    n_val = min(int(round(config.validation_fraction * x.shape[0])), x.shape[0] - 1)
+    train_idx = perm[: x.shape[0] - n_val]
+    state = mlp.AdamState.zeros_like(model)
+    t = 0
+    for _ in range(config.epochs):
+        order = train_idx[rng.permutation(train_idx.size)]
+        for start in range(0, order.size, config.batch_size):
+            batch = order[start: start + config.batch_size]
+            t += 1
+            mlp.adam_step(model, mlp.gradients(model, x[batch], y[batch]), state, t, config)
+    return model
+
+
+def dataset_file_bytes(dataset) -> bytes:
+    """A v1 .tdid file built in one piece: header, then every record side by side."""
+    header = struct.pack("<4sIIIII", b"TDID", 1, dataset.histograms.shape[1],
+                         dataset.img_w, dataset.img_h, dataset.histograms.shape[0])
+    records = np.hstack([dataset.histograms, dataset.images]).astype("<f4")
+    return header + records.tobytes()
 
 
 def max_grad_rel_error(analytic, numeric, floor=1e-8) -> float:

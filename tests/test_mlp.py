@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from reference import finite_difference_grads, max_grad_rel_error, textbook_adam
+from reference import (finite_difference_grads, max_grad_rel_error, reference_train,
+                       textbook_adam)
 from tdi import forward, mlp
 from tdi.config import SimConfig
 
@@ -151,6 +152,16 @@ def test_gradients_reject_bad_shapes():
         mlp.gradients(model, np.zeros((2, 3)), np.zeros((3, 2)))
 
 
+def test_gradients_return_new_arrays():
+    model = small_f64_model([4, 3, 2], seed=1)
+    rng = np.random.default_rng(2)
+    x, s = rng.uniform(0, 1, (5, 4)), rng.uniform(0, 1, (5, 2))
+    first, second = mlp.gradients(model, x, s), mlp.gradients(model, x, s)
+    for a, b in zip(first, second):
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -286,6 +297,37 @@ def test_train_deterministic_history_and_model():
     assert np.array_equal(h1.val_loss, h2.val_loss)
     for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
         assert np.array_equal(a, b)
+
+
+def test_train_matches_gradients_and_adam_loop(monkeypatch):
+    # the reused gradient set gives the bytes of a fresh gradients() list per step
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0, 1, (100, 600)).astype(np.float32)
+    y = rng.uniform(0, 1, (100, 16)).astype(np.float32)
+    dims = [600, 64, 16]                      # first weight spans two Adam blocks, one partial
+    cfg = mlp.TrainConfig(epochs=2, batch_size=16, seed=2)
+    expected = reference_train(x, y, cfg, mlp.init_model(dims, seed=7))
+    steps = []
+    adam_step = mlp.adam_step
+    monkeypatch.setattr(mlp, "adam_step", lambda *a: steps.append(a[3]) or adam_step(*a))
+    model, _ = mlp.train((x, y), cfg, model=mlp.init_model(dims, seed=7))
+    for got, want in zip(model.weights + model.biases, expected.weights + expected.biases):
+        assert got.tobytes() == want.tobytes()
+    # one call per step through the module attribute, as tracers count them;
+    # 93 of the 100 pairs train, the rest are the validation tail
+    assert steps == list(range(1, cfg.epochs * math.ceil(93 / 16) + 1))
+
+
+def test_train_peak_memory_is_four_parameter_sets(traced_peak):
+    # the model, two Adam moments and one gradient set, plus batch-sized work
+    dims = [1024, 256, 64]
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 1, (128, dims[0])).astype(np.float32)
+    y = rng.uniform(0, 1, (128, dims[-1])).astype(np.float32)
+    param_bytes = 4 * sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+    cfg = mlp.TrainConfig(epochs=2, batch_size=32, seed=0)
+    peak = traced_peak(lambda: mlp.train((x, y), cfg, hidden_dims=dims[1:-1]))
+    assert peak < 4.5 * param_bytes + x.nbytes + y.nbytes
 
 
 def test_train_rejects_bad_datasets():

@@ -244,6 +244,30 @@ def test_sweep_noise_matches_finalize(tiny_recipe, level):
     assert points[0].mean_ssim == overall
 
 
+@pytest.mark.parametrize("name", ["irf", "dataset_size"])
+def test_sweep_matches_finalize_all_then_split(tiny_recipe, name):
+    # each point scores as if every row were finalized and then split
+    raw = pipeline.simulate_raw(tiny_recipe)
+    tc = mlp.TrainConfig(epochs=2, batch_size=8, seed=0)
+    seed = tiny_recipe.sim.seed
+    if name == "irf":
+        dts = (0.0, 250e-12)
+        points = pipeline.sweep_irf(raw, tc, n_test=8, dts=dts)
+        splits = [pipeline.split_dataset(pipeline.finalize(raw, irf_dt_s=dt), 8, seed)
+                  for dt in dts]
+    else:
+        sizes = (16, 24)
+        points = pipeline.sweep_dataset_size(raw, tc, n_test=8, sizes=sizes)
+        train_pairs, test_pairs = pipeline.split_dataset(pipeline.finalize(raw), 8, seed)
+        splits = [((train_pairs[0][:size], train_pairs[1][:size]), test_pairs)
+                  for size in sizes]
+    cfg = tiny_recipe.sim
+    for point, (train_pairs, test_pairs) in zip(points, splits):
+        model, _ = mlp.train(train_pairs, tc)
+        _, overall = pipeline.evaluate_model(model, *test_pairs, cfg.img_w, cfg.img_h)
+        assert point.mean_ssim == overall
+
+
 def test_sweep_reflectivity_modes(tiny_recipe):
     tc = mlp.TrainConfig(epochs=1, batch_size=8, seed=0)
     fixed = pipeline.sweep_reflectivity(tiny_recipe, tc, n_test=8, ratios=(1.0,),

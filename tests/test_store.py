@@ -1,3 +1,5 @@
+import os
+import re
 import struct
 import sys
 import threading
@@ -5,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from reference import dataset_file_bytes
 from tdi import atomic, forward, mlp, store
 
 
@@ -63,11 +66,63 @@ def test_dataset_truncation(tmp_path):
     store.write_dataset(path, ds)
     blob = path.read_bytes()
     path.write_bytes(blob[:-7])
-    with pytest.raises(store.TruncatedFileError):
+    with pytest.raises(store.TruncatedFileError, match=re.escape(
+            f"{path}: expected 960 payload bytes for 5 records, got 953")):
         store.read_dataset(path)
     path.write_bytes(blob[:10])  # inside the header
-    with pytest.raises(store.TruncatedFileError):
+    with pytest.raises(store.TruncatedFileError,
+                       match=re.escape(f"{path}: truncated while reading header")):
         store.read_dataset(path)
+
+
+def file_shrinks_after_fstat(monkeypatch, path, cut):
+    """Cut `cut` bytes off the file while fstat still reports the old size."""
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-cut])
+    fstat = os.fstat
+    monkeypatch.setattr(store.os, "fstat",
+                        lambda fd: os.stat_result((*fstat(fd)[:6], size, *fstat(fd)[7:])))
+
+
+def test_dataset_short_read_is_truncation(tmp_path, monkeypatch):
+    path = tmp_path / "pairs.tdid"
+    store.write_dataset(path, random_dataset())
+    file_shrinks_after_fstat(monkeypatch, path, 7)
+    with pytest.raises(store.TruncatedFileError,
+                       match=re.escape(f"{path}: truncated while reading records")):
+        store.read_dataset(path)
+
+
+BLOCK_ROWS = store._BLOCK_BYTES // (4 * (200 + 8 * 8))   # records of 200 bins, 8x8 pixels
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_dataset_round_trip_across_blocks(tmp_path, n):
+    ds = random_dataset(n=n, bins=200, w=8, h=8, seed=n)
+    path = tmp_path / "pairs.tdid"
+    store.write_dataset(path, ds)
+    assert path.read_bytes() == dataset_file_bytes(ds)
+    back = store.read_dataset(path)
+    assert back.histograms.tobytes() == ds.histograms.tobytes()
+    assert back.images.tobytes() == ds.images.tobytes()
+    assert (back.img_w, back.img_h, back.bins) == (8, 8, 200)
+
+
+def test_dataset_read_peak_memory(tmp_path, traced_peak):
+    # the two result arrays and one block buffer; no second copy of the payload
+    ds = random_dataset(n=3000, bins=400, w=8, h=8)
+    path = tmp_path / "pairs.tdid"
+    store.write_dataset(path, ds)
+    payload = ds.histograms.nbytes + ds.images.nbytes
+    assert traced_peak(lambda: store.read_dataset(path)) < 1.1 * payload + store._BLOCK_BYTES
+
+
+def test_dataset_write_peak_memory(tmp_path, traced_peak):
+    # records stream out through one block buffer, whatever the dataset size
+    ds = random_dataset(n=3000, bins=400, w=8, h=8)
+    assert ds.histograms.nbytes + ds.images.nbytes > 5 * store._BLOCK_BYTES
+    peak = traced_peak(lambda: store.write_dataset(tmp_path / "pairs.tdid", ds))
+    assert peak < 2 * store._BLOCK_BYTES
 
 
 def test_dataset_version_mismatch(tmp_path):
@@ -86,7 +141,8 @@ def test_dataset_trailing_bytes(tmp_path):
     path = tmp_path / "pairs.tdid"
     store.write_dataset(path, ds)
     path.write_bytes(path.read_bytes() + b"xx")
-    with pytest.raises(store.HeaderMismatchError):
+    with pytest.raises(store.HeaderMismatchError, match=re.escape(
+            f"{path}: 2 trailing bytes beyond the declared 5 records")):
         store.read_dataset(path)
 
 
@@ -142,10 +198,22 @@ def test_model_payload_mismatch(tmp_path):
     store.write_model(path, model)
     blob = path.read_bytes()
     path.write_bytes(blob[:-4])
-    with pytest.raises(store.TruncatedFileError):
+    with pytest.raises(store.TruncatedFileError,
+                       match=re.escape(f"{path}: expected 84 parameter bytes, got 80")):
         store.read_model(path)
     path.write_bytes(blob + b"\x00" * 4)
-    with pytest.raises(store.HeaderMismatchError):
+    with pytest.raises(store.HeaderMismatchError,
+                       match=re.escape(f"{path}: 4 trailing parameter bytes")):
+        store.read_model(path)
+
+
+@pytest.mark.parametrize("cut, what", [(4, "biases"), (20, "weights")])
+def test_model_short_read_is_truncation(tmp_path, monkeypatch, cut, what):
+    path = tmp_path / "model.tdim"
+    store.write_model(path, mlp.init_model([6, 3], seed=0))
+    file_shrinks_after_fstat(monkeypatch, path, cut)
+    with pytest.raises(store.TruncatedFileError,
+                       match=re.escape(f"{path}: truncated while reading {what}")):
         store.read_model(path)
 
 
@@ -260,6 +328,20 @@ def test_write_csv_failing_rows_keep_previous_file(tmp_path):
     with pytest.raises(RuntimeError, match="row source failed"):
         store.write_csv(path, "a,b", rows())
     assert path.read_text() == "previous\n"
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
+def test_write_atomic_failing_chunks_keep_previous_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"previous")
+
+    def chunks():
+        yield b"ab"
+        raise RuntimeError("chunk source failed")
+
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        atomic.write_atomic(path, chunks())
+    assert path.read_bytes() == b"previous"
     assert not list(tmp_path.glob("*.tmp.*"))
 
 
