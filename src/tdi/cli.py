@@ -88,7 +88,7 @@ def _build_recipe(args) -> pipeline.DatasetRecipe:
 def _build_train_config(args, extras: dict) -> mlp.TrainConfig:
     tc = mlp.TrainConfig()
     for key, cast in (("epochs", int), ("batch_size", int), ("learning_rate", float),
-                      ("validation_fraction", float)):
+                      ("validation_fraction", float), ("seed", int)):
         if key in extras:
             tc = replace(tc, **{key: cast(extras[key])})
     if getattr(args, "epochs", None) is not None:

@@ -19,6 +19,8 @@ from .scene import DepthImage
 DEFAULT_HIDDEN = (1024, 512, 256)
 # Elements per block of the in-place Adam update (two scratch blocks of this size).
 ADAM_BLOCK = 1 << 15
+# Elements, about, per row block of a weight gradient built from its factors.
+MATMUL_BLOCK = 1 << 18
 
 
 class TrainingDivergedError(RuntimeError):
@@ -98,8 +100,14 @@ def init_model(layer_dims, seed: int, dtype=np.float32) -> MlpModel:
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        weights.append(w.astype(dtype))
+        # Drawn ADAM_BLOCK values at a time: the stream continues across calls,
+        # so the bytes are those of one whole-matrix draw cast to dtype.
+        w = np.empty((fan_out, fan_in), dtype=dtype)
+        w_flat = w.reshape(-1)
+        for lo in range(0, w_flat.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, w_flat.size)
+            w_flat[lo:hi] = rng.uniform(-limit, limit, size=hi - lo)
+        weights.append(w)
         biases.append(np.zeros(fan_out, dtype=dtype))
     return MlpModel(weights, biases)
 
@@ -142,12 +150,12 @@ def mse_loss(y: np.ndarray, s: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def _loss_and_grads(model: MlpModel, x: np.ndarray, s: np.ndarray, out=None):
-    """Batch loss and gradients (weights, then biases).
+def _backward(model: MlpModel, x: np.ndarray, s: np.ndarray):
+    """Batch loss and gradients: each weight's as its factors, each bias's whole.
 
-    With `out`, a list of arrays shaped and typed like the parameters, the
-    gradients are written into it and it is returned; otherwise they are
-    new arrays.
+    In AdamState order: one (delta, act) pair per weight matrix, whose
+    gradient is delta.T @ act, then one array per bias vector. The factors
+    are batch-sized; adam_step builds the weight gradients from them.
     """
     acts = _activations(model, x)
     diff = (acts[-1] - s).astype(np.float64, copy=False)
@@ -155,10 +163,10 @@ def _loss_and_grads(model: MlpModel, x: np.ndarray, s: np.ndarray, out=None):
     n = x.shape[0] * s.shape[1]
     delta = (2.0 / n) * (acts[-1] - s)           # d loss / d output
     layers = len(model.weights)
-    grads = [None] * (2 * layers) if out is None else out
+    grads = [None] * (2 * layers)
     for i in range(layers - 1, -1, -1):
-        grads[i] = np.matmul(delta.T, acts[i], out=grads[i])
-        grads[layers + i] = np.sum(delta, axis=0, out=grads[layers + i])
+        grads[i] = (delta, acts[i])
+        grads[layers + i] = np.sum(delta, axis=0)
         if i > 0:
             delta = (delta @ model.weights[i]) * (1.0 - acts[i] * acts[i])  # tanh'
     return loss, grads
@@ -178,58 +186,104 @@ def gradients(model: MlpModel, batch_x: np.ndarray, batch_s: np.ndarray) -> list
         raise ValueError("batch shapes disagree with the model")
     if x.shape[0] != s.shape[0]:
         raise ValueError("inputs and targets have different batch sizes")
-    return _loss_and_grads(model, x, s)[1]
+    grads = _backward(model, x, s)[1]
+    layers = len(model.weights)
+    return [np.matmul(delta.T, act) for delta, act in grads[:layers]] + grads[layers:]
+
+
+def _row_bounds(rows: int, row_size: int) -> list:
+    """Even split of range(rows) into blocks of about MATMUL_BLOCK elements.
+
+    Every block has at least 2 rows unless `rows` is 1: numpy sends a
+    one-row product to gemv, whose sums need not match the whole-matrix gemm.
+    """
+    count = max(1, min(rows // 2, -(-rows * row_size // MATMUL_BLOCK)))
+    return [rows * k // count for k in range(count + 1)]
+
+
+def _gradient_shape(g) -> tuple:
+    if not isinstance(g, tuple):
+        return np.shape(g)
+    delta, act = g
+    if delta.ndim != 2 or act.ndim != 2 or delta.shape[0] != act.shape[0]:
+        raise ValueError(f"gradient factors of shapes {delta.shape} and {act.shape} "
+                         "are not (batch, fan_out) and (batch, fan_in)")
+    return (delta.shape[1], act.shape[1])
 
 
 def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
               config: TrainConfig) -> tuple[MlpModel, AdamState]:
     """One bias-corrected Adam update, in place; t counts from 1.
 
-    Each parameter is walked in blocks of ADAM_BLOCK elements through two
-    block-sized scratch buffers, so no parameter-sized temporary is made.
-    The element-wise operations run in the order of the whole-array update
-    lr * (m / c1) / (sqrt(v / c2) + eps), so the result is bit-identical to
-    it. Each gradient block is checked to be finite before it is used;
-    `grads` itself is never written.
+    Each entry of `grads` is either a gradient shaped like its parameter or,
+    for a weight matrix, its factors (delta, act), whose gradient is
+    delta.T @ act. Each parameter is walked in row blocks of about
+    MATMUL_BLOCK elements, each of at least 2 rows; a factored gradient is
+    built one row block at a time, by one matmul into a reused buffer, so no
+    parameter-sized gradient is ever held. Each row block is updated in
+    sub-blocks of ADAM_BLOCK elements through two scratch buffers, in the
+    order of the whole-array update lr * (m / c1) / (sqrt(v / c2) + eps), so
+    the result is bit-identical to it. Each gradient sub-block is checked to
+    be finite before it is used; `grads` itself is never written.
     """
     if t < 1:
         raise ValueError("step index t starts at 1")
     params = model.weights + model.biases
     if len(grads) != len(params):
         raise ValueError("gradient list does not match parameter list")
-    b1, b2 = config.beta1, config.beta2
-    correction1 = 1.0 - b1 ** t
-    correction2 = 1.0 - b2 ** t
-    scratch_a = np.empty(ADAM_BLOCK, dtype=model.dtype)
-    scratch_b = np.empty(ADAM_BLOCK, dtype=model.dtype)
+    plan, buffer_size = [], 0
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
             raise ValueError("parameters and Adam moments must be C-contiguous")
-        if np.shape(g) != p.shape:
-            raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {p.shape}")
+        shape = _gradient_shape(g)
+        if shape != p.shape:
+            raise ValueError(f"gradient shape {shape} != parameter shape {p.shape}")
+        row_size = math.prod(p.shape[1:])
+        bounds = _row_bounds(p.shape[0], row_size)
+        if isinstance(g, tuple):
+            widest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+            buffer_size = max(buffer_size, widest * row_size)
+        plan.append((bounds, row_size))
+    b1, b2 = config.beta1, config.beta2
+    correction1 = 1.0 - b1 ** t
+    correction2 = 1.0 - b2 ** t
+    buffer = np.empty(buffer_size, dtype=model.dtype)
+    scratch_a = np.empty(ADAM_BLOCK, dtype=model.dtype)
+    scratch_b = np.empty(ADAM_BLOCK, dtype=model.dtype)
+    for p, g, m, v, (bounds, row_size) in zip(params, grads, state.m, state.v, plan):
         p_flat, m_flat, v_flat = p.reshape(-1), m.reshape(-1), v.reshape(-1)
-        g_flat = np.ascontiguousarray(g).reshape(-1)
-        for lo in range(0, p_flat.size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, p_flat.size)
-            gb, pb, mb, vb = g_flat[lo:hi], p_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
-            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
-            if not np.isfinite(gb).all():
-                raise TrainingDivergedError(
-                    f"nonfinite gradient for parameter of shape {p.shape} at step {t}")
-            mb *= b1
-            np.multiply(gb, 1.0 - b1, out=a)
-            mb += a
-            vb *= b2
-            np.multiply(gb, gb, out=a)
-            a *= 1.0 - b2
-            vb += a
-            np.divide(vb, correction2, out=a)
-            np.sqrt(a, out=a)
-            a += config.eps
-            np.divide(mb, correction1, out=b)
-            b *= config.learning_rate
-            b /= a
-            pb -= b
+        if not isinstance(g, tuple):
+            g_flat = np.ascontiguousarray(g).reshape(-1)
+        for r0, r1 in zip(bounds, bounds[1:]):
+            start, stop = r0 * row_size, r1 * row_size
+            if isinstance(g, tuple):
+                delta, act = g
+                rows = buffer[: stop - start]
+                np.matmul(delta[:, r0:r1].T, act, out=rows.reshape(r1 - r0, row_size))
+            else:
+                rows = g_flat[start:stop]
+            for lo in range(start, stop, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, stop)
+                gb = rows[lo - start: hi - start]
+                pb, mb, vb = p_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+                a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+                if not np.isfinite(gb).all():
+                    raise TrainingDivergedError(
+                        f"nonfinite gradient for parameter of shape {p.shape} at step {t}")
+                mb *= b1
+                np.multiply(gb, 1.0 - b1, out=a)
+                mb += a
+                vb *= b2
+                np.multiply(gb, gb, out=a)
+                a *= 1.0 - b2
+                vb += a
+                np.divide(vb, correction2, out=a)
+                np.sqrt(a, out=a)
+                a += config.eps
+                np.divide(mb, correction1, out=b)
+                b *= config.learning_rate
+                b /= a
+                pb -= b
     return model, state
 
 
@@ -241,8 +295,8 @@ def train(dataset, config: TrainConfig, model: MlpModel | None = None,
     before the first epoch, and scored after every epoch; the rest is
     reshuffled each epoch with the seeded generator. Runs
     epochs * ceil(n_train / batch_size) Adam steps. Besides the data, it
-    holds the model, the two Adam moments and one gradient set, which every
-    step overwrites.
+    holds the model and the two Adam moments: each step hands adam_step the
+    batch-sized factors of the weight gradients, not the gradients.
     """
     x, y = dataset
     x = np.asarray(x)
@@ -271,7 +325,6 @@ def train(dataset, config: TrainConfig, model: MlpModel | None = None,
     train_idx = perm[: x.shape[0] - n_val]
 
     state = AdamState.zeros_like(model)
-    grads = [np.empty_like(p) for p in model.weights + model.biases]  # reused every step
     train_hist = np.zeros(config.epochs)
     val_hist = np.full(config.epochs, np.nan)
     t = 0
@@ -280,7 +333,7 @@ def train(dataset, config: TrainConfig, model: MlpModel | None = None,
         seen = 0.0
         for start in range(0, order.size, config.batch_size):
             batch = order[start: start + config.batch_size]
-            loss, _ = _loss_and_grads(model, x[batch], y[batch], out=grads)
+            loss, grads = _backward(model, x[batch], y[batch])
             t += 1
             adam_step(model, grads, state, t, config)
             seen += loss * batch.size

@@ -3,10 +3,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the shared reference oracles
 
 from tdi import pipeline
+
+# Property tests draw the same examples on every run, and few of them.
+settings.register_profile("tdi", derandomize=True, max_examples=25, deadline=None,
+                          database=None)
+settings.load_profile("tdi")
 
 
 @pytest.fixture

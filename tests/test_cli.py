@@ -198,6 +198,32 @@ def test_train_deterministic_model_bytes(tmp_path, tiny_config):
            (tmp_path / "r2/model.tdim").read_bytes()
 
 
+def test_train_manifest_reproduces_seeded_run(tmp_path, tiny_config):
+    data_dir = tmp_path / "data"
+    run(["gen", "--out", data_dir, "--config", tiny_config])
+    dataset = data_dir / "dataset.tdid"
+    assert run(["train", "--dataset", dataset, "--out", tmp_path / "a",
+                "--config", tiny_config, "--seed", "7"]) == 0
+    assert run(["train", "--dataset", dataset, "--out", tmp_path / "b",
+                "--config", tmp_path / "a/manifest.cfg"]) == 0
+    assert "seed = 7" in (tmp_path / "b/manifest.cfg").read_text()
+    assert (tmp_path / "a/model.tdim").read_bytes() == \
+           (tmp_path / "b/model.tdim").read_bytes()
+    # the config's seed trains when no --seed is given, and --seed overrides it
+    run(["train", "--dataset", dataset, "--out", tmp_path / "c", "--config", tiny_config])
+    assert "seed = 5" in (tmp_path / "c/manifest.cfg").read_text()
+
+
+def test_sweep_reads_trainer_seed_from_config(tmp_path, tiny_config):
+    out = tmp_path / "sweep_n"
+    assert run(["sweep", "--kind", "noise", "--out", out, "--config", tiny_config,
+                "--seed", "7", "--epochs", "1", "--n-test", "8"]) == 0
+    again = tmp_path / "sweep_m"
+    assert run(["sweep", "--kind", "noise", "--out", again,
+                "--config", out / "manifest.cfg", "--n-test", "8"]) == 0
+    assert (out / "sweep.csv").read_bytes() == (again / "sweep.csv").read_bytes()
+
+
 def test_eval_gallery_zero_and_repeatable(tmp_path, tiny_config):
     data_dir = tmp_path / "data"
     run(["gen", "--out", data_dir, "--config", tiny_config])

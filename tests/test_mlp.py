@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from reference import (finite_difference_grads, max_grad_rel_error, reference_train,
                        textbook_adam)
@@ -29,6 +31,25 @@ def test_init_deterministic():
     b = mlp.init_model([20, 8, 4], seed=42)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
+
+
+def test_init_matches_whole_matrix_draw():
+    # drawn block by block, the bytes are those of one draw per weight
+    dims = [mlp.ADAM_BLOCK // 16 + 3, 40, 3]
+    model = mlp.init_model(dims, seed=11)
+    rng = np.random.default_rng(11)
+    for w, (fan_in, fan_out) in zip(model.weights, zip(dims[:-1], dims[1:])):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        want = rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(np.float32)
+        assert w.tobytes() == want.tobytes()
+
+
+def test_init_peak_memory_is_parameters_plus_one_block(traced_peak):
+    dims = [4096, 512, 64]
+    param_bytes = 4 * sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+    peak = traced_peak(lambda: mlp.init_model(dims, seed=0))
+    # one float64 block of draws at a time, a little for Python objects
+    assert peak < param_bytes + 8 * mlp.ADAM_BLOCK + 16 * 1024
 
 
 def test_init_glorot_bounds_and_zero_biases():
@@ -251,6 +272,73 @@ def test_adam_nonfinite_in_last_block_raises():
         mlp.adam_step(model, grads, state, t=1, config=mlp.TrainConfig())
 
 
+HALF = mlp.MATMUL_BLOCK // 2
+
+
+@given(fan_out=st.integers(1, 900), fan_in=st.integers(1, 1200),
+       wide=st.booleans(), tail=st.booleans(), batch=st.integers(1, 70),
+       seed=st.integers(0, 2 ** 16))
+@example(fan_out=1, fan_in=7, wide=False, tail=False, batch=1, seed=0)
+@example(fan_out=2, fan_in=300, wide=False, tail=True, batch=70, seed=1)
+@example(fan_out=3, fan_in=1000, wide=False, tail=False, batch=33, seed=5)
+@example(fan_out=3, fan_in=1200, wide=True, tail=False, batch=2, seed=2)
+@example(fan_out=6, fan_in=1, wide=True, tail=True, batch=70, seed=3)
+@example(fan_out=900, fan_in=1163, wide=False, tail=True, batch=64, seed=4)
+def test_adam_factored_matches_dense_bytes(fan_out, fan_in, wide, tail, batch, seed):
+    # `wide` puts the first weight's rows above half a block: 2- and 3-row blocks
+    if wide:
+        fan_out, fan_in = 1 + fan_out % 7, HALF + fan_in
+    dims = [fan_in, fan_out] + ([3] if tail else [])
+    rng = np.random.default_rng(seed)
+    dense, factored = mlp.init_model(dims, seed=seed), mlp.init_model(dims, seed=seed)
+    dense_state = mlp.AdamState.zeros_like(dense)
+    factored_state = mlp.AdamState.zeros_like(factored)
+    cfg = mlp.TrainConfig()
+    for t in (1, 2):
+        x = rng.uniform(0, 1, (batch, fan_in)).astype(np.float32)
+        s = rng.uniform(0, 1, (batch, dims[-1])).astype(np.float32)
+        mlp.adam_step(dense, mlp.gradients(dense, x, s), dense_state, t, cfg)
+        mlp.adam_step(factored, mlp._backward(factored, x, s)[1], factored_state, t, cfg)
+    for got, want in zip(factored.weights + factored.biases, dense.weights + dense.biases):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_row_blocks_have_two_rows_and_about_a_block():
+    for rows, row_size in ((1, 5), (2, HALF + 1), (3, HALF + 1), (5, HALF + 1),
+                           (1024, 8000), (4096, 256), (900, 1163), (7, 3)):
+        bounds = mlp._row_bounds(rows, row_size)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == rows
+        assert sizes.min() >= min(2, rows)
+        assert sizes.max() - sizes.min() <= 1
+        assert sizes.max() * row_size <= max(mlp.MATMUL_BLOCK + row_size, 3 * row_size)
+
+
+def test_adam_nonfinite_in_last_factored_row_block_names_shape_and_step():
+    model = mlp.init_model([4101, 150, 3], seed=0)  # first weight: three 50-row blocks
+    assert len(mlp._row_bounds(150, 4101)) == 4
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0, 1, (8, 4101)).astype(np.float32)
+    s = rng.uniform(0, 1, (8, 3)).astype(np.float32)
+    _, grads = mlp._backward(model, x, s)
+    grads[0][0][:, -1] = np.nan                # only the weight's last row
+    state = mlp.AdamState.zeros_like(model)
+    with pytest.raises(mlp.TrainingDivergedError, match=r"shape \(150, 4101\) at step 4"):
+        mlp.adam_step(model, grads, state, t=4, config=mlp.TrainConfig())
+
+
+def test_adam_rejects_mismatched_factors():
+    model = small_f64_model([4, 3])
+    state = mlp.AdamState.zeros_like(model)
+    bias = np.zeros(3)
+    with pytest.raises(ValueError, match="gradient shape"):
+        mlp.adam_step(model, [(np.ones((2, 3)), np.ones((2, 5))), bias], state, 1,
+                      mlp.TrainConfig())
+    with pytest.raises(ValueError, match="factors"):
+        mlp.adam_step(model, [(np.ones((2, 3)), np.ones((1, 4))), bias], state, 1,
+                      mlp.TrainConfig())
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -300,7 +388,7 @@ def test_train_deterministic_history_and_model():
 
 
 def test_train_matches_gradients_and_adam_loop(monkeypatch):
-    # the reused gradient set gives the bytes of a fresh gradients() list per step
+    # factored gradients give the bytes of a fresh gradients() list per step
     rng = np.random.default_rng(8)
     x = rng.uniform(0, 1, (100, 600)).astype(np.float32)
     y = rng.uniform(0, 1, (100, 16)).astype(np.float32)
@@ -318,16 +406,16 @@ def test_train_matches_gradients_and_adam_loop(monkeypatch):
     assert steps == list(range(1, cfg.epochs * math.ceil(93 / 16) + 1))
 
 
-def test_train_peak_memory_is_four_parameter_sets(traced_peak):
-    # the model, two Adam moments and one gradient set, plus batch-sized work
-    dims = [1024, 256, 64]
+def test_train_peak_memory_is_three_parameter_sets(traced_peak):
+    # the model and two Adam moments, one row-block buffer, plus batch-sized work
+    dims = [4096, 512, 64]                    # first weight: eight 1 MiB row blocks
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 1, (128, dims[0])).astype(np.float32)
     y = rng.uniform(0, 1, (128, dims[-1])).astype(np.float32)
     param_bytes = 4 * sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
     cfg = mlp.TrainConfig(epochs=2, batch_size=32, seed=0)
     peak = traced_peak(lambda: mlp.train((x, y), cfg, hidden_dims=dims[1:-1]))
-    assert peak < 4.5 * param_bytes + x.nbytes + y.nbytes
+    assert peak < 3 * param_bytes + 4 * mlp.MATMUL_BLOCK + x.nbytes + y.nbytes
 
 
 def test_train_rejects_bad_datasets():
