@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__, forward, metrics, mlp, pipeline, store
 from .atomic import write_atomic
-from .config import (SimConfig, load_sim_config, parse_config_text,
-                     sim_config_items)
+from .config import (SETTINGS, SWEEP_DEFAULTS, format_setting, owned, parse_range,
+                     read_settings)
 
 _PRESETS = {"desk": pipeline.desk_recipe, "paper": pipeline.paper_recipe}
 
@@ -30,102 +30,51 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def write_manifest(out_dir, command: str, extra: dict, cfg: SimConfig | None = None) -> str:
-    lines = [f"# run manifest, written {_utc_now()}",
-             f"command = {command}",
-             f"tool_version = {__version__}"]
-    if cfg is not None:
-        lines += [f"{k} = {v}" for k, v in sim_config_items(cfg)]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
+def write_manifest(out_dir, command: str, run: dict, *resolved) -> str:
+    """Record `run`'s manifest-only keys and every setting that the resolved
+    objects (configs, recipes, datasets, dicts) hold, one line per key."""
+    values = owned(run, "manifest")
+    for source in resolved:
+        values.update(source if isinstance(source, dict) else
+                      {k: getattr(source, k) for k in SETTINGS if hasattr(source, k)})
+    values.update(command=command, tool_version=__version__)
+    lines = [f"# run manifest, written {_utc_now()}"]
+    lines += [f"{k} = {format_setting(values[k])}" for k in SETTINGS if values.get(k) is not None]
     path = os.path.join(out_dir, "manifest.cfg")
     write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
     return path
 
 
-def _load_extras(path) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
-def _build_recipe(args) -> pipeline.DatasetRecipe:
-    recipe = _PRESETS[args.preset](seed=getattr(args, "seed", None) or 0)
-    extras = _load_extras(getattr(args, "config", None))
-    if args.config:
-        recipe = replace(recipe, sim=load_sim_config(args.config, base=recipe.sim))
-    for key in ("n_silhouettes", "depth_steps", "lateral_steps", "background"):
-        if key in extras:
-            cast = str if key == "background" else int
-            recipe = replace(recipe, **{key: cast(extras[key])})
-    if "reflectivity" in extras:
-        recipe = replace(recipe, reflectivity=float(extras["reflectivity"]))
-    if "reflectivity_range" in extras:
-        lo, hi = extras["reflectivity_range"].split(":")
-        recipe = replace(recipe, reflectivity_range=(float(lo), float(hi)))
-
-    sim = recipe.sim
-    if getattr(args, "seed", None) is not None:
-        sim = replace(sim, seed=args.seed)
-    if getattr(args, "irf", None) is not None:
-        sim = replace(sim, irf_dt_s=args.irf)
-    if getattr(args, "noise", None) is not None:
-        sim = replace(sim, noise_level=args.noise)
-    recipe = replace(recipe, sim=sim)
-
-    if getattr(args, "count", None) is not None:
-        recipe = replace(recipe, n_silhouettes=args.count)
-    if getattr(args, "background", None) is not None:
-        recipe = replace(recipe, background=args.background)
+def _settings(args) -> dict:
+    """The --config file's settings, overridden by every flag given."""
+    settings = read_settings(args.config) if getattr(args, "config", None) else {}
     if getattr(args, "reflectivity", None) is not None:
-        recipe = replace(recipe, reflectivity=args.reflectivity, reflectivity_range=None)
-    if getattr(args, "reflectivity_range", None) is not None:
-        lo, hi = (float(v) for v in args.reflectivity_range.split(":"))
-        recipe = replace(recipe, reflectivity_range=(lo, hi))
-    return recipe
+        settings.pop("reflectivity_range", None)  # a fixed ratio replaces the file's range
+    settings.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
+    return settings
 
 
-def _build_train_config(args, extras: dict) -> mlp.TrainConfig:
-    tc = mlp.TrainConfig()
-    for key, cast in (("epochs", int), ("batch_size", int), ("learning_rate", float),
-                      ("validation_fraction", float), ("seed", int)):
-        if key in extras:
-            tc = replace(tc, **{key: cast(extras[key])})
-    if getattr(args, "epochs", None) is not None:
-        tc = replace(tc, epochs=args.epochs)
-    if getattr(args, "batch", None) is not None:
-        tc = replace(tc, batch_size=args.batch)
-    if getattr(args, "seed", None) is not None:
-        tc = replace(tc, seed=args.seed)
-    return tc
-
-
-def _recipe_items(recipe: pipeline.DatasetRecipe) -> dict:
-    items = {"n_silhouettes": recipe.n_silhouettes,
-             "depth_steps": recipe.depth_steps,
-             "lateral_steps": recipe.lateral_steps,
-             "background": recipe.background,
-             "reflectivity": repr(recipe.reflectivity)}
-    if recipe.reflectivity_range is not None:
-        lo, hi = recipe.reflectivity_range
-        items["reflectivity_range"] = f"{lo!r}:{hi!r}"
-    return items
+def _recipe(preset: str, settings: dict) -> pipeline.DatasetRecipe:
+    recipe = _PRESETS[preset]()
+    return replace(recipe, sim=recipe.sim.with_(**owned(settings, "sim")),
+                   **owned(settings, "recipe"))
 
 
 def cmd_gen(args) -> int:
-    recipe = _build_recipe(args)
+    settings = _settings(args)
+    recipe = _recipe(args.preset, settings)
     os.makedirs(args.out, exist_ok=True)
     ds = pipeline.generate_dataset(recipe)
     path = os.path.join(args.out, "dataset.tdid")
     store.write_dataset(path, ds)
-    write_manifest(args.out, "gen", _recipe_items(recipe), cfg=recipe.sim)
+    write_manifest(args.out, "gen", settings, recipe.sim, recipe)
     print(f"wrote {len(ds)} pairs to {path}")
     return 0
 
 
 def cmd_train(args) -> int:
-    extras = _load_extras(args.config)
-    tc = _build_train_config(args, extras)
+    settings = _settings(args)
+    tc = mlp.TrainConfig(**owned(settings, "train"))
     ds = store.read_dataset(args.dataset)
     os.makedirs(args.out, exist_ok=True)
     model, history = mlp.train((ds.histograms, ds.images), tc)
@@ -134,14 +83,7 @@ def cmd_train(args) -> int:
     store.write_csv(os.path.join(args.out, "history.csv"), "epoch,train_loss,val_loss",
                     [(e + 1, repr(history.train_loss[e]), repr(history.val_loss[e]))
                      for e in range(len(history.train_loss))])
-    write_manifest(args.out, "train", {
-        "dataset": args.dataset, "bins": ds.bins,
-        "img_w": ds.img_w, "img_h": ds.img_h,
-        "epochs": tc.epochs, "batch_size": tc.batch_size,
-        "validation_fraction": repr(tc.validation_fraction),
-        "learning_rate": repr(tc.learning_rate),
-        "seed": tc.seed,
-    })
+    write_manifest(args.out, "train", settings, ds, tc)  # ds records the data's shape
     print(f"trained {tc.epochs} epochs, final train loss "
           f"{history.train_loss[-1]:.3e}; wrote {model_path}")
     return 0
@@ -170,38 +112,36 @@ def cmd_eval(args) -> int:
         store.export_depth_pgm(pred, os.path.join(args.out, f"{i:04d}_pred.pgm"))
         store.export_depth_pgm(truth, os.path.join(args.out, f"{i:04d}_truth.pgm"))
         store.export_ssim_pgm(smap, os.path.join(args.out, f"{i:04d}_ssim.pgm"))
-    write_manifest(args.out, "eval",
-                   {"model": args.model, "dataset": args.dataset,
-                    "gallery": args.gallery, "seed": args.seed})
+    write_manifest(args.out, "eval", _settings(args))
     print(f"overall mean SSIM over {len(ds)} pairs: {overall:.4f}")
     return 0
 
 
 def cmd_predict(args) -> int:
     model = store.read_model(args.model)
-    recipe = _build_recipe(args)
+    settings = _settings(args)
+    recipe = _recipe(args.preset, settings)
     h = forward.read_histogram_csv(args.histogram)
     os.makedirs(args.out, exist_ok=True)
     img = mlp.predict(model, h, recipe.sim)
     out_path = os.path.join(args.out, "prediction.pgm")
     store.export_depth_pgm(img.depth_m / recipe.sim.z_max, out_path)
-    write_manifest(args.out, "predict",
-                   {"model": args.model, "histogram": args.histogram},
-                   cfg=recipe.sim)
+    write_manifest(args.out, "predict", settings, recipe.sim)
     print(f"wrote {out_path}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    recipe = _build_recipe(args)
-    extras = _load_extras(args.config)
-    tc = _build_train_config(args, extras)
+    settings = _settings(args)
+    recipe = _recipe(args.preset, settings)
+    tc = mlp.TrainConfig(**owned(settings, "train"))
+    sweep = {**SWEEP_DEFAULTS, **owned(settings, "sweep")}
     os.makedirs(args.out, exist_ok=True)
-    n_test = args.n_test
+    n_test = sweep["n_test"]
 
     if args.kind == "reflectivity":
         points = pipeline.sweep_reflectivity(recipe, tc, n_test,
-                                             training=args.reflectivity_training)
+                                             training=sweep["reflectivity_training"])
     else:
         raw = pipeline.simulate_raw(recipe)
         if args.kind == "irf":
@@ -219,10 +159,7 @@ def cmd_sweep(args) -> int:
         else:
             rows.append((p.label, repr(p.mean_ssim)))
     store.write_csv(os.path.join(args.out, "sweep.csv"), "point,mean_ssim", rows)
-    write_manifest(args.out, f"sweep:{args.kind}", {
-        **_recipe_items(recipe), "epochs": tc.epochs, "batch_size": tc.batch_size,
-        "n_test": n_test,
-    }, cfg=recipe.sim)
+    write_manifest(args.out, f"sweep:{args.kind}", settings, recipe.sim, recipe, tc, sweep)
     for label, value in rows:
         print(f"{label}: {value}")
     return 0
@@ -256,13 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a histogram/image dataset")
     common(p)
-    p.add_argument("--count", type=int, help="number of silhouettes")
+    p.add_argument("--count", dest="n_silhouettes", type=int, help="number of silhouettes")
     p.add_argument("--background", choices=pipeline.BACKGROUND_KINDS)
     p.add_argument("--reflectivity", type=float, help="fixed silhouette reflectivity")
     p.add_argument("--reflectivity-range", dest="reflectivity_range", metavar="LO:HI",
-                   help="per-scene log-uniform silhouette reflectivity")
-    p.add_argument("--irf", type=float, help="Gaussian IRF 1/e half-width [s]")
-    p.add_argument("--noise", type=int, choices=(0, 1, 2, 3))
+                   type=parse_range, help="per-scene log-uniform silhouette reflectivity")
+    p.add_argument("--irf", dest="irf_dt_s", type=float,
+                   help="Gaussian IRF 1/e half-width [s]")
+    p.add_argument("--noise", dest="noise_level", type=int, choices=(0, 1, 2, 3))
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train the inverse model on a dataset")
@@ -270,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="key-value config file")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", dest="batch_size", type=int)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
@@ -280,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--gallery", type=int, default=8,
                    help="export graymaps for the first K pairs (0 = none)")
-    p.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="reconstruct one histogram CSV into a graymap")
@@ -294,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("irf", "noise", "dataset-size", "reflectivity"))
     common(p)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--n-test", dest="n_test", type=int, default=200)
+    p.add_argument("--batch", dest="batch_size", type=int)
+    p.add_argument("--n-test", dest="n_test", type=int)
     p.add_argument("--reflectivity-training", dest="reflectivity_training",
-                   choices=("fixed", "varied"), default="fixed")
+                   choices=("fixed", "varied"))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("resolve", help="print the resolution model table")

@@ -4,12 +4,16 @@ All lengths are meters, all times are seconds. A single SimConfig instance
 describes the virtual camera, the depth range of the scene, and the
 time-binning of the single-point detector; every stage of the pipeline reads
 its knobs from here so that a run is reproducible from the config alone.
+
+SETTINGS is the one table of config-file and manifest keys: each key's owner
+and parser. read_settings turns a file into a typed dict and rejects unknown
+keys; format_setting writes values that read back exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -107,63 +111,102 @@ def paper_sim(seed: int = 0) -> SimConfig:
 
 # ---------------------------------------------------------------------------
 # Plain-text config files: one `key = value` per line, '#' comments, SI units.
-# One file carries simulation, generator, and trainer keys side by side;
-# each consumer picks out the keys it understands.
+# SETTINGS names every key a config file or manifest may hold, with its owner
+# and the parser of its value. Owners are names, not imports, because every
+# module imports this one: "sim" is SimConfig, "recipe" DatasetRecipe, "train"
+# TrainConfig, "sweep" the arguments of the sweeps, and "manifest" what a
+# manifest records about its run but no command reads back.
 
-_CONFIG_TYPES = {
-    "fov_deg": float,
-    "img_w": int,
-    "img_h": int,
-    "z_min": float,
-    "z_max": float,
-    "bins": int,
-    "bin_width_s": float,
-    "p0": float,
-    "time_convention": str,
-    "irf_dt_s": float,
-    "noise_level": int,
-    "seed": int,
-    "range_margin_m": float,
+def parse_range(text: str) -> tuple:
+    """`lo:hi` as a (lo, hi) float pair."""
+    lo, hi = text.split(":")
+    return float(lo), float(hi)
+
+
+def parse_training(text: str) -> str:
+    """How the reflectivity sweep trains: `fixed` or `varied`."""
+    if text not in ("fixed", "varied"):
+        raise ValueError("expected fixed or varied")
+    return text
+
+
+SETTINGS = {
+    "command": ("manifest", str),
+    "tool_version": ("manifest", str),
+    "dataset": ("manifest", str),
+    "model": ("manifest", str),
+    "histogram": ("manifest", str),
+    "gallery": ("manifest", int),
+    "fov_deg": ("sim", float),
+    "img_w": ("sim", int),
+    "img_h": ("sim", int),
+    "z_min": ("sim", float),
+    "z_max": ("sim", float),
+    "bins": ("sim", int),
+    "bin_width_s": ("sim", float),
+    "p0": ("sim", float),
+    "time_convention": ("sim", str),
+    "irf_dt_s": ("sim", float),
+    "noise_level": ("sim", int),
+    "seed": ("sim train", int),        # seeds the simulation and the trainer
+    "range_margin_m": ("sim", float),
+    "n_silhouettes": ("recipe", int),
+    "depth_steps": ("recipe", int),
+    "lateral_steps": ("recipe", int),
+    "background": ("recipe", str),
+    "reflectivity": ("recipe", float),
+    "reflectivity_range": ("recipe", parse_range),
+    "epochs": ("train", int),
+    "batch_size": ("train", int),
+    "learning_rate": ("train", float),
+    "validation_fraction": ("train", float),
+    "n_test": ("sweep", int),
+    "reflectivity_training": ("sweep", parse_training),
 }
 
+SWEEP_DEFAULTS = {"n_test": 200, "reflectivity_training": "fixed"}
 
-def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines into a {key: str} dict (no type coercion)."""
+
+def owned(values: dict, owner: str) -> dict:
+    """The items of `values` whose key belongs to `owner`."""
+    return {k: v for k, v in values.items()
+            if k in SETTINGS and owner in SETTINGS[k][0].split()}
+
+
+def format_setting(value) -> str:
+    """Value text its key's parser reads back exactly: repr for floats, lo:hi for a range."""
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return ":".join(format_setting(float(v)) for v in value)
+    return str(value)
+
+
+def parse_settings(text: str) -> dict:
+    """Typed settings from `key = value` lines; manifest-only keys are skipped.
+
+    An unknown key or a value its parser rejects raises ValueError naming the line.
+    """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        if key not in SETTINGS:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        owners, parse = SETTINGS[key]
+        if owners == "manifest":
+            continue
+        try:
+            out[key] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: bad {key} {value!r}: {exc}") from None
     return out
 
 
-def sim_overrides(raw: dict) -> dict:
-    """Typed SimConfig fields present in a parsed key-value dict.
-
-    Foreign keys (generator / trainer settings share the same file) are
-    left alone for their own consumers.
-    """
-    return {key: _CONFIG_TYPES[key](value) for key, value in raw.items()
-            if key in _CONFIG_TYPES}
-
-
-def load_sim_config(path, base: SimConfig | None = None) -> SimConfig:
-    """Apply a key-value file on top of a base config (defaults if None)."""
+def read_settings(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        overrides = sim_overrides(parse_config_text(fh.read()))
-    if base is None:
-        return SimConfig(**overrides)
-    return base.with_(**overrides) if overrides else base
-
-
-def sim_config_items(cfg: SimConfig) -> list[tuple[str, str]]:
-    """SimConfig as (key, value-string) pairs, round-trippable through parse."""
-    items = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        items.append((f.name, repr(value) if isinstance(value, float) else str(value)))
-    return items
+        return parse_settings(fh.read())

@@ -254,6 +254,11 @@ class SweepPoint:
     mean_ssim: float | None
     error: str | None = None
 
+    @classmethod
+    def failed(cls, label: str, exc: Exception) -> "SweepPoint":
+        """An unscored point that keeps the exception's type name and message."""
+        return cls(label, None, error=f"{type(exc).__name__}: {exc}")
+
 
 def _train_and_score(train_pairs, test_pairs, train_cfg, img_w, img_h) -> float:
     model, _ = mlp.train(train_pairs, train_cfg)
@@ -277,7 +282,7 @@ def sweep_irf(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
                                      cfg.img_w, cfg.img_h)
             points.append(SweepPoint(label, score))
         except SWEEP_ERRORS as exc:  # record and continue with the other points
-            points.append(SweepPoint(label, None, error=str(exc)))
+            points.append(SweepPoint.failed(label, exc))
     return points
 
 
@@ -297,7 +302,7 @@ def sweep_noise(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
                                         cfg.img_w, cfg.img_h)
             points.append(SweepPoint(label, overall))
         except SWEEP_ERRORS as exc:
-            points.append(SweepPoint(label, None, error=str(exc)))
+            points.append(SweepPoint.failed(label, exc))
     return points
 
 
@@ -319,7 +324,7 @@ def sweep_dataset_size(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
                                      cfg.img_w, cfg.img_h)
             points.append(SweepPoint(label, score))
         except SWEEP_ERRORS as exc:
-            points.append(SweepPoint(label, None, error=str(exc)))
+            points.append(SweepPoint.failed(label, exc))
     return points
 
 
@@ -351,5 +356,5 @@ def sweep_reflectivity(recipe: DatasetRecipe, train_cfg: mlp.TrainConfig, n_test
                                         cfg.img_w, cfg.img_h)
             points.append(SweepPoint(label, overall))
         except SWEEP_ERRORS as exc:
-            points.append(SweepPoint(label, None, error=str(exc)))
+            points.append(SweepPoint.failed(label, exc))
     return points

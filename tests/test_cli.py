@@ -224,6 +224,51 @@ def test_sweep_reads_trainer_seed_from_config(tmp_path, tiny_config):
     assert (out / "sweep.csv").read_bytes() == (again / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["irf", "noise", "dataset-size", "reflectivity"])
+def test_sweep_manifest_reproduces_run(tmp_path, kind):
+    # non-default trainer settings, so a manifest that drops them retrains differently
+    config = tmp_path / "sweep.cfg"
+    config.write_text(TINY_CONFIG + "learning_rate = 0.003\nvalidation_fraction = 0.2\n")
+    first, again = tmp_path / "a", tmp_path / "b"
+    assert run(["sweep", "--kind", kind, "--out", first, "--config", config,
+                "--epochs", "1", "--n-test", "8", "--reflectivity-training", "varied"]) == 0
+    assert run(["sweep", "--kind", kind, "--out", again,
+                "--config", first / "manifest.cfg"]) == 0
+    assert (first / "sweep.csv").read_bytes() == (again / "sweep.csv").read_bytes()
+    manifest = (again / "manifest.cfg").read_text()
+    for line in ("n_test = 8", "reflectivity_training = varied", "learning_rate = 0.003",
+                 "validation_fraction = 0.2", "epochs = 1"):
+        assert line in manifest
+
+
+def test_config_rejects_misspelled_keys(tmp_path, capsys):
+    config = tmp_path / "typo.cfg"
+    text = TINY_CONFIG + "noise_levle = 2\n"
+    config.write_text(text)
+    assert run(["gen", "--out", tmp_path / "g", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert "noise_levle" in err and f"line {len(text.splitlines())}" in err
+    assert not (tmp_path / "g").exists()
+    config.write_text(TINY_CONFIG + "epoch = 3\n")
+    assert run(["sweep", "--kind", "noise", "--out", tmp_path / "s", "--config", config]) == 1
+    assert "'epoch'" in capsys.readouterr().err
+
+
+def test_gen_and_train_manifests_feed_every_command(tmp_path, tiny_config):
+    data = tmp_path / "data"
+    assert run(["gen", "--out", data, "--config", tiny_config]) == 0
+    dataset = data / "dataset.tdid"
+    assert run(["train", "--dataset", dataset, "--out", tmp_path / "model",
+                "--config", tiny_config]) == 0
+    for name in ("data", "model"):
+        manifest, out = tmp_path / name / "manifest.cfg", tmp_path / f"from_{name}"
+        assert run(["gen", "--out", out / "gen", "--config", manifest, "--count", "1"]) == 0
+        assert run(["train", "--dataset", dataset, "--out", out / "train",
+                    "--config", manifest, "--epochs", "1", "--batch", "8"]) == 0
+        assert run(["sweep", "--kind", "noise", "--out", out / "sweep", "--config", manifest,
+                    "--epochs", "1", "--batch", "8", "--n-test", "8"]) == 0
+
+
 def test_eval_gallery_zero_and_repeatable(tmp_path, tiny_config):
     data_dir = tmp_path / "data"
     run(["gen", "--out", data_dir, "--config", tiny_config])

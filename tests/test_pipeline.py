@@ -315,7 +315,7 @@ def test_sweep_records_expected_failure(tiny_recipe, monkeypatch, name):
     tc = mlp.TrainConfig(epochs=1, batch_size=8, seed=0)
     points = run_sweep(name, tiny_recipe, tc)
     assert len(points) == 1
-    assert points[0].mean_ssim is None and points[0].error == "nonfinite gradient"
+    assert points[0].mean_ssim is None and points[0].error == "TrainingDivergedError: nonfinite gradient"
 
 
 @pytest.mark.parametrize("name", SWEEPS)
