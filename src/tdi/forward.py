@@ -37,7 +37,8 @@ class Histogram:
             raise ValueError("counts must be a 1-D array with at least 2 bins")
         if self.bin_width_s <= 0:
             raise ValueError("bin_width_s must be positive")
-        if not np.isfinite(self.counts).all() or (self.counts < 0).any():
+        # min and max propagate NaN, so this needs no full-size mask
+        if not (self.counts.min() >= 0.0 and math.isfinite(self.counts.max())):
             raise ValueError("counts must be finite and >= 0")
 
     @property
@@ -85,23 +86,18 @@ def pixel_photons(d: float, reflectivity: float, p0: float) -> float:
     return reflectivity * p0 / d ** 4
 
 
-def simulate_histogram(img: DepthImage, cfg: SimConfig) -> Histogram:
-    """Accumulate every returning pixel into its arrival-time bin (noiseless).
+def _pixel_returns(depth: np.ndarray, reflectance: np.ndarray, pixels: np.ndarray,
+                   cfg: SimConfig):
+    """Arrival bin and expected photons of the pixels at the given flat indices.
 
-    Bin contributions are summed in a canonical (bin, value) order, so the
-    result is independent of pixel enumeration order; in particular a scene
-    and its exact mirror produce bit-identical histograms.
+    The one place the return of a pixel is computed: its 3D distance r from
+    the pinhole geometry, the bin of its arrival time, and
+    reflectance * p0 / r^4. Raises SpanError when a return arrives beyond the
+    last bin.
     """
-    if img.depth_m.shape != (cfg.img_h, cfg.img_w):
-        raise ValueError(
-            f"image is {img.depth_m.shape}, config expects {(cfg.img_h, cfg.img_w)}")
-
-    rows, cols = np.nonzero(img.depth_m > 0)
-    if rows.size == 0:
-        return Histogram(cfg.bin_width_s, np.zeros(cfg.bins))
-
+    rows, cols = np.divmod(pixels, cfg.img_w)
     f = cfg.focal_px
-    z = img.depth_m[rows, cols]
+    z = depth.ravel()[pixels]
     x = (pixel_offsets(cfg.img_w)[cols] / f) * z
     y = -(pixel_offsets(cfg.img_h)[rows] / f) * z
     r = np.sqrt(x * x + y * y + z * z)
@@ -115,13 +111,90 @@ def simulate_histogram(img: DepthImage, cfg: SimConfig) -> Histogram:
             f"return from depth {z[worst]:.4f} m (distance {r[worst]:.4f} m) arrives at "
             f"{t[worst]:.3e} s, beyond the histogram span of "
             f"{cfg.bins * cfg.bin_width_s:.3e} s")
+    return bins, reflectance.ravel()[pixels] * cfg.p0 / r ** 4
 
-    photons = img.reflectance[rows, cols] * cfg.p0 / r ** 4
-    # bincount adds its weights in array order, so after sorting by value each
-    # bin sums its photons in ascending order; equal values may swap places
-    # without changing a bit
+
+@dataclass
+class BackdropReturns:
+    """A backdrop render and its returns, sorted by photon value.
+
+    `rank` maps each flat pixel index to the position of its return in the
+    sorted `bins` and `photons`, or -1 where the pixel returns nothing. All
+    three are None when some backdrop return arrives beyond the histogram
+    span: a scene may still hide it, so such scenes take the whole-image
+    path, which raises only if the return shows.
+    """
+
+    image: DepthImage
+    rank: np.ndarray | None
+    bins: np.ndarray | None
+    photons: np.ndarray | None
+
+
+def backdrop_returns(backdrop: DepthImage, cfg: SimConfig) -> BackdropReturns:
+    """Compute a backdrop's returns once, for simulate_histogram to reuse."""
+    pixels = np.flatnonzero(backdrop.depth_m > 0)
+    try:
+        bins, photons = _pixel_returns(backdrop.depth_m, backdrop.reflectance, pixels, cfg)
+    except SpanError:
+        return BackdropReturns(backdrop, None, None, None)
     order = np.argsort(photons)
-    counts = np.bincount(bins[order], weights=photons[order], minlength=cfg.bins)
+    rank = np.full(backdrop.depth_m.size, -1, dtype=np.int64)
+    rank[pixels[order]] = np.arange(pixels.size)
+    return BackdropReturns(backdrop, rank, bins[order], photons[order])
+
+
+def simulate_histogram(img: DepthImage, cfg: SimConfig,
+                       backdrop: BackdropReturns | None = None) -> Histogram:
+    """Accumulate every returning pixel into its arrival-time bin (noiseless).
+
+    Each bin sums its photons in ascending value order, so the result is
+    independent of pixel enumeration order; in particular a scene and its
+    exact mirror produce bit-identical histograms.
+
+    `backdrop`, when given, must be `backdrop_returns(b, cfg)` for the
+    render `b` that `img` was drawn onto (as by `scene.render(sc, cfg, b)`).
+    Only the pixels whose depth or reflectance differ from `b` are then
+    computed; the other returns come from the backdrop, already sorted. The
+    bytes are the same as without it.
+    """
+    if img.depth_m.shape != (cfg.img_h, cfg.img_w):
+        raise ValueError(
+            f"image is {img.depth_m.shape}, config expects {(cfg.img_h, cfg.img_w)}")
+    if backdrop is None or backdrop.rank is None:
+        pixels = np.flatnonzero(img.depth_m > 0)
+        bins, photons = _pixel_returns(img.depth_m, img.reflectance, pixels, cfg)
+        # bincount adds its weights in array order, so after sorting by value
+        # each bin sums its photons in ascending order; equal values may swap
+        # places without changing a bit
+        order = np.argsort(photons)
+        bins, photons = bins[order], photons[order]
+    else:
+        depth = img.depth_m.ravel()
+        changed = np.flatnonzero(
+            (depth != backdrop.image.depth_m.ravel())
+            | (img.reflectance.ravel() != backdrop.image.reflectance.ravel()))
+        # a changed pixel's backdrop return keeps its place with weight 0:
+        # every bin sum starts at +0 and stays >= 0, so adding +0 changes no bit
+        gone = backdrop.rank[changed]
+        weights = backdrop.photons.copy()
+        weights[gone[gone >= 0]] = 0.0
+        returning = changed[depth[changed] > 0]
+        new_bins, new_photons = _pixel_returns(img.depth_m, img.reflectance, returning, cfg)
+        order = np.argsort(new_photons)
+        new_bins, new_photons = new_bins[order], new_photons[order]
+        # merge: new return k goes before the backdrop returns not smaller
+        # than it, after the k new returns before it
+        at = np.searchsorted(backdrop.photons, new_photons) + np.arange(returning.size)
+        rest = np.ones(weights.size + returning.size, dtype=bool)
+        rest[at] = False
+        photons = np.empty(rest.size)
+        photons[at] = new_photons
+        photons[rest] = weights
+        bins = np.empty(rest.size, dtype=np.int64)
+        bins[at] = new_bins
+        bins[rest] = backdrop.bins
+    counts = np.bincount(bins, weights=photons, minlength=cfg.bins)
     return Histogram(cfg.bin_width_s, counts)
 
 
@@ -154,13 +227,13 @@ def _noise_scales(counts: np.ndarray, fraction: float):
     stages of standard deviation s each, E|sum| = (2/sqrt(pi)) * s, so each
     stage uses s = target * sqrt(pi) / 2.
     """
-    nz = counts > 0
-    if not nz.any():
+    live = counts[counts > 0]
+    if not live.size:
         return 0.0, 0.0
-    mean_nz = float(counts[nz].mean())
+    mean_nz = float(live.mean())
     target = fraction * mean_nz
     s = target * math.sqrt(math.pi) / 2.0
-    sqrt_mean = float(np.sqrt(counts[nz]).mean())
+    sqrt_mean = float(np.sqrt(live).mean())
     alpha = (sqrt_mean / s) ** 2  # Poisson(alpha * b) / alpha has std sqrt(b / alpha)
     return alpha, s
 

@@ -348,10 +348,17 @@ def predict(model: MlpModel, h: Histogram, cfg: SimConfig) -> DepthImage:
 
     normalize -> forward -> clip to [0, 1] -> reshape row-major to
     (img_h, img_w) -> rescale by z_max. Reflectance is not predicted and is
-    reported as 1 everywhere.
+    reported as 1 everywhere. The histogram must be binned as cfg bins: same
+    bin count and width, starting at t0 = 0.
     """
     if h.bins != model.layer_dims[0]:
         raise ValueError(f"histogram has {h.bins} bins, model expects {model.layer_dims[0]}")
+    # the tolerance read_histogram_csv allows on each bin start
+    if abs(h.bin_width_s - cfg.bin_width_s) > 1e-9 * cfg.bin_width_s:
+        raise ValueError(f"histogram bin width {h.bin_width_s!r} s differs from the "
+                         f"configured {cfg.bin_width_s!r} s")
+    if h.t0_s != 0.0:
+        raise ValueError(f"histogram starts at t0 = {h.t0_s!r} s, config expects t0 = 0")
     n_out = model.layer_dims[-1]
     if n_out != cfg.img_w * cfg.img_h:
         raise ValueError(

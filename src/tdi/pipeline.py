@@ -124,24 +124,27 @@ def _scene_errors(index):
 def simulate_raw(recipe: DatasetRecipe, scenes=None) -> RawDataset:
     """Render and histogram the listed scenes of build_scenes(recipe), or all.
 
-    Each distinct background is rendered once; every scene's placements are
-    drawn onto a copy of it.
+    Each distinct background is rendered, and its returns computed, once per
+    call; every scene's placements are drawn onto a copy of the render, and
+    its histogram recomputes only the pixels they change.
     """
     cfg = recipe.sim
     built = build_scenes(recipe)
     indices = np.arange(len(built)) if scenes is None else np.asarray(scenes, dtype=np.int64)
     if indices.ndim != 1 or ((indices < 0) | (indices >= len(built))).any():
         raise ValueError(f"scenes must be a 1-D list of indices in [0, {len(built)})")
-    backdrops = {}              # id(background) -> its render
+    backdrops = {}              # id(background) -> its render and returns
     counts = np.zeros((len(indices), cfg.bins), dtype=np.float64)
     images = np.zeros((len(indices), cfg.img_w * cfg.img_h), dtype=np.float64)
     for row, index in enumerate(indices):
         sc = built[index]
         with _scene_errors(index):
             if id(sc.background) not in backdrops:
-                backdrops[id(sc.background)] = scene.render_background(sc.background, cfg)
-            img = scene.render(sc, cfg, backdrops[id(sc.background)])
-            counts[row] = forward.simulate_histogram(img, cfg).counts
+                backdrops[id(sc.background)] = forward.backdrop_returns(
+                    scene.render_background(sc.background, cfg), cfg)
+            backdrop = backdrops[id(sc.background)]
+            img = scene.render(sc, cfg, backdrop.image)
+            counts[row] = forward.simulate_histogram(img, cfg, backdrop).counts
             images[row] = scene.normalize_image(img, cfg.z_max)
     return RawDataset(counts=counts, images=images, recipe=recipe, scenes=indices)
 

@@ -123,7 +123,9 @@ class DepthImage:
         self.reflectance = np.asarray(self.reflectance, dtype=np.float64)
         if self.depth_m.shape != self.reflectance.shape or self.depth_m.ndim != 2:
             raise ValueError("depth and reflectance must be equal-shape 2-D grids")
-        if not np.isfinite(self.depth_m).all() or (self.depth_m < 0).any():
+        # min and max propagate NaN, so this needs no full-size mask
+        if self.depth_m.size and not (self.depth_m.min() >= 0.0
+                                      and math.isfinite(self.depth_m.max())):
             raise ValueError("depth values must be finite and >= 0")
 
     @property
@@ -277,13 +279,11 @@ def _silhouette_footprint(sil: Silhouette, x: float, y: float, z: float,
     cols = np.floor((u - u_c) / cell + w_mask / 2.0).astype(np.int64)
     rows = np.floor((v - v_c) / cell + h_mask / 2.0).astype(np.int64)
 
-    ok_c = (cols >= 0) & (cols < w_mask)
-    ok_r = (rows >= 0) & (rows < h_mask)
+    # rows and cols are nondecreasing, so the in-mask ones are one range each
+    r0, r1 = np.searchsorted(rows, (0, h_mask))
+    c0, c1 = np.searchsorted(cols, (0, w_mask))
     fp = np.zeros((cfg.img_h, cfg.img_w), dtype=bool)
-    if not ok_c.any() or not ok_r.any():
-        return fp
-    sub = sil.mask[np.ix_(rows[ok_r], cols[ok_c])]
-    fp[np.ix_(ok_r, ok_c)] = sub
+    fp[r0:r1, c0:c1] = sil.mask[rows[r0:r1, None], cols[None, c0:c1]]
     return fp
 
 

@@ -12,6 +12,9 @@ from tdi import pipeline
 # Property tests draw the same examples on every run, and few of them.
 settings.register_profile("tdi", derandomize=True, max_examples=25, deadline=None,
                           database=None)
+# A deeper random search, chosen with --hypothesis-profile=tdi-deep, which
+# overrides the profile loaded here.
+settings.register_profile("tdi-deep", max_examples=300, deadline=None, database=None)
 settings.load_profile("tdi")
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tdi import cli, forward, store
+from tdi import cli, forward, mlp, store
 from tdi.config import SimConfig
 
 TINY_CONFIG = """
@@ -145,8 +145,21 @@ def test_train_eval_predict_round_trip(tmp_path, tiny_config):
     assert pgm.shape == (16, 16)
 
 
+def test_predict_rejects_histogram_of_another_bin_width(tmp_path, tiny_config, capsys):
+    cfg = SimConfig(img_w=16, img_h=16, bins=400, seed=5)
+    store.write_model(tmp_path / "model.tdim", mlp.init_model([400, 8, 256], seed=0))
+    hist_csv = tmp_path / "wide.csv"
+    forward.write_histogram_csv(forward.Histogram(3 * cfg.bin_width_s, np.ones(400)),
+                                hist_csv)
+    assert run(["predict", "--model", tmp_path / "model.tdim", "--histogram", hist_csv,
+                "--out", tmp_path / "pred", "--config", tiny_config]) == 1
+    err = capsys.readouterr().err
+    assert repr(forward.read_histogram_csv(hist_csv).bin_width_s) in err
+    assert repr(cfg.bin_width_s) in err
+    assert not (tmp_path / "pred" / "prediction.pgm").exists()
+
+
 def test_eval_trained_beats_untrained(tmp_path, tiny_config):
-    from tdi import mlp
     data_dir = tmp_path / "data"
     run(["gen", "--out", data_dir, "--config", tiny_config])
     run(["train", "--dataset", data_dir / "dataset.tdid", "--out", tmp_path / "t",
@@ -340,7 +353,6 @@ def test_cli_error_paths(tmp_path, capsys):
 def test_eval_rejects_mismatched_model(tmp_path, tiny_config):
     data_dir = tmp_path / "data"
     run(["gen", "--out", data_dir, "--config", tiny_config])
-    from tdi import mlp
     wrong = mlp.init_model([32, 8, 256], seed=0)
     store.write_model(tmp_path / "wrong.tdim", wrong)
     assert run(["eval", "--model", tmp_path / "wrong.tdim",

@@ -342,6 +342,14 @@ def test_histogram_csv_offset_start_reads_back(tmp_path):
     assert back.bin_width_s == pytest.approx(h.bin_width_s, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+def test_histogram_rejects_non_finite_or_negative_counts(bad):
+    counts = np.ones(6)
+    counts[3] = bad
+    with pytest.raises(ValueError, match="^counts must be finite and >= 0$"):
+        forward.Histogram(1e-11, counts)
+
+
 def test_histogram_validation():
     with pytest.raises(ValueError):
         forward.Histogram(0.0, np.ones(4))

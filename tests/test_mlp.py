@@ -483,3 +483,19 @@ def test_predict_rejects_mismatched_dims():
     model2 = mlp.init_model([128, 16, 100], seed=0)
     with pytest.raises(ValueError):
         mlp.predict(model2, forward.Histogram(cfg.bin_width_s, np.zeros(128)), cfg)
+
+
+def test_predict_rejects_other_bin_width_and_offset():
+    cfg = SimConfig(img_w=8, img_h=8, bins=16)
+    model = mlp.init_model([16, 8, 64], seed=0)
+    wide = forward.Histogram(3 * cfg.bin_width_s, np.ones(16))
+    with pytest.raises(ValueError) as info:
+        mlp.predict(model, wide, cfg)
+    assert repr(wide.bin_width_s) in str(info.value)
+    assert repr(cfg.bin_width_s) in str(info.value)
+    late = forward.Histogram(cfg.bin_width_s, np.ones(16), t0_s=1e-9)
+    with pytest.raises(ValueError, match="t0 = 1e-09"):
+        mlp.predict(model, late, cfg)
+    # a width read back from CSV carries rounding well inside the tolerance
+    near = forward.Histogram(cfg.bin_width_s * (1 + 1e-12), np.ones(16))
+    assert mlp.predict(model, near, cfg).depth_m.shape == (8, 8)

@@ -34,6 +34,18 @@ def test_simulate_raw_error_names_scene(tiny_recipe):
         pipeline.simulate_raw(bad, scenes=[11, 3])
 
 
+def test_span_error_from_cached_backdrop_names_scene(tiny_recipe):
+    # at the same bin width, fewer bins end the span between the wall's
+    # centre (4 m) and its corners, so only backdrop returns overrun it
+    sim = tiny_recipe.sim
+    short = sim.with_(bins=330, bin_width_s=sim.bin_width_s)
+    bad = replace(tiny_recipe, sim=short)
+    with pytest.raises(forward.SpanError, match="^scene 0: return from depth 4.0000 m"):
+        pipeline.simulate_raw(bad)
+    with pytest.raises(forward.SpanError, match="^scene 11: return from depth 4.0000 m"):
+        pipeline.simulate_raw(bad, scenes=[11, 3])
+
+
 def test_simulate_raw_subset_matches_full_rows(tiny_recipe):
     full = pipeline.simulate_raw(tiny_recipe)
     idx = np.array([7, 0, 23, 7])

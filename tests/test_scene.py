@@ -255,3 +255,15 @@ def test_background_rejects_object_behind_wall():
     with pytest.raises(ValueError):
         scene.Background(wall_depth_m=4.0,
                          objects=[scene.Box(0.0, 0.0, 4.5, 1.0, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_depth_image_rejects_non_finite_or_negative_depth(bad):
+    depth = np.full((3, 4), 2.0)
+    depth[1, 2] = bad
+    with pytest.raises(ValueError, match="^depth values must be finite and >= 0$"):
+        scene.DepthImage(depth, np.ones((3, 4)))
+
+
+def test_depth_image_accepts_an_empty_grid():
+    assert scene.DepthImage(np.zeros((0, 4)), np.zeros((0, 4))).width == 4
