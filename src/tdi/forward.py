@@ -9,6 +9,7 @@ conservative; discreteness only enters through the Poisson noise stage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,20 +87,30 @@ def pixel_photons(d: float, reflectivity: float, p0: float) -> float:
     return reflectivity * p0 / d ** 4
 
 
-def _pixel_returns(depth: np.ndarray, reflectance: np.ndarray, pixels: np.ndarray,
+@functools.lru_cache(maxsize=16)
+def _pixel_slopes(img_w: int, img_h: int, focal_px: float):
+    """Per flat pixel index, the lateral offset of its center over its depth
+    (x/z, y/z), as two read-only arrays made once per frame geometry."""
+    across = pixel_offsets(img_w) / focal_px
+    down = -(pixel_offsets(img_h) / focal_px)
+    slopes = np.tile(across, img_h), np.repeat(down, img_w)
+    for a in slopes:
+        a.flags.writeable = False
+    return slopes
+
+
+def _pixel_returns(pixels: np.ndarray, z: np.ndarray, reflectance: np.ndarray,
                    cfg: SimConfig):
     """Arrival bin and expected photons of the pixels at the given flat indices.
 
-    The one place the return of a pixel is computed: its 3D distance r from
-    the pinhole geometry, the bin of its arrival time, and
-    reflectance * p0 / r^4. Raises SpanError when a return arrives beyond the
-    last bin.
+    The one place the return of a pixel is computed, from its depth z and
+    reflectance: its 3D distance r from the pinhole geometry, the bin of its
+    arrival time, and reflectance * p0 / r^4. Raises SpanError when a return
+    arrives beyond the last bin.
     """
-    rows, cols = np.divmod(pixels, cfg.img_w)
-    f = cfg.focal_px
-    z = depth.ravel()[pixels]
-    x = (pixel_offsets(cfg.img_w)[cols] / f) * z
-    y = -(pixel_offsets(cfg.img_h)[rows] / f) * z
+    across, down = _pixel_slopes(cfg.img_w, cfg.img_h, cfg.focal_px)
+    x = across[pixels] * z
+    y = down[pixels] * z
     r = np.sqrt(x * x + y * y + z * z)
 
     factor = 2.0 if cfg.time_convention == "round_trip" else 1.0
@@ -111,7 +122,13 @@ def _pixel_returns(depth: np.ndarray, reflectance: np.ndarray, pixels: np.ndarra
             f"return from depth {z[worst]:.4f} m (distance {r[worst]:.4f} m) arrives at "
             f"{t[worst]:.3e} s, beyond the histogram span of "
             f"{cfg.bins * cfg.bin_width_s:.3e} s")
-    return bins, reflectance.ravel()[pixels] * cfg.p0 / r ** 4
+    return bins, reflectance * cfg.p0 / r ** 4
+
+
+def _image_returns(img: DepthImage, pixels: np.ndarray, cfg: SimConfig):
+    """`_pixel_returns` of the given pixels of an image."""
+    return _pixel_returns(pixels, img.depth_m.ravel()[pixels],
+                          img.reflectance.ravel()[pixels], cfg)
 
 
 @dataclass
@@ -135,7 +152,7 @@ def backdrop_returns(backdrop: DepthImage, cfg: SimConfig) -> BackdropReturns:
     """Compute a backdrop's returns once, for simulate_histogram to reuse."""
     pixels = np.flatnonzero(backdrop.depth_m > 0)
     try:
-        bins, photons = _pixel_returns(backdrop.depth_m, backdrop.reflectance, pixels, cfg)
+        bins, photons = _image_returns(backdrop, pixels, cfg)
     except SpanError:
         return BackdropReturns(backdrop, None, None, None)
     order = np.argsort(photons)
@@ -156,46 +173,62 @@ def simulate_histogram(img: DepthImage, cfg: SimConfig,
     render `b` that `img` was drawn onto (as by `scene.render(sc, cfg, b)`).
     Only the pixels whose depth or reflectance differ from `b` are then
     computed; the other returns come from the backdrop, already sorted. The
-    bytes are the same as without it.
+    bytes are the same as without it. When `img` keeps its overlay on `b`
+    (`scene.render` with that backdrop), the changed pixels are the ones it
+    lists and no step reads the whole frame; otherwise they are found by
+    comparing the image with `b`.
     """
     if img.depth_m.shape != (cfg.img_h, cfg.img_w):
         raise ValueError(
             f"image is {img.depth_m.shape}, config expects {(cfg.img_h, cfg.img_w)}")
     if backdrop is None or backdrop.rank is None:
         pixels = np.flatnonzero(img.depth_m > 0)
-        bins, photons = _pixel_returns(img.depth_m, img.reflectance, pixels, cfg)
+        bins, photons = _image_returns(img, pixels, cfg)
         # bincount adds its weights in array order, so after sorting by value
         # each bin sums its photons in ascending order; equal values may swap
         # places without changing a bit
         order = np.argsort(photons)
-        bins, photons = bins[order], photons[order]
-    else:
-        depth = img.depth_m.ravel()
-        changed = np.flatnonzero(
-            (depth != backdrop.image.depth_m.ravel())
-            | (img.reflectance.ravel() != backdrop.image.reflectance.ravel()))
-        # a changed pixel's backdrop return keeps its place with weight 0:
-        # every bin sum starts at +0 and stays >= 0, so adding +0 changes no bit
-        gone = backdrop.rank[changed]
-        weights = backdrop.photons.copy()
-        weights[gone[gone >= 0]] = 0.0
-        returning = changed[depth[changed] > 0]
-        new_bins, new_photons = _pixel_returns(img.depth_m, img.reflectance, returning, cfg)
-        order = np.argsort(new_photons)
-        new_bins, new_photons = new_bins[order], new_photons[order]
-        # merge: new return k goes before the backdrop returns not smaller
-        # than it, after the k new returns before it
-        at = np.searchsorted(backdrop.photons, new_photons) + np.arange(returning.size)
-        rest = np.ones(weights.size + returning.size, dtype=bool)
-        rest[at] = False
-        photons = np.empty(rest.size)
-        photons[at] = new_photons
-        photons[rest] = weights
-        bins = np.empty(rest.size, dtype=np.int64)
-        bins[at] = new_bins
-        bins[rest] = backdrop.bins
-    counts = np.bincount(bins, weights=photons, minlength=cfg.bins)
+        counts = np.bincount(bins[order], weights=photons[order], minlength=cfg.bins)
+        return Histogram(cfg.bin_width_s, counts)
+    drawn = img.overlay
+    if drawn is not None and drawn.backdrop is backdrop.image:
+        # every overlay pixel holds a placement, at depth z_min or more
+        counts = _merged_counts(backdrop, drawn.pixels, drawn.pixels, drawn.depth_m,
+                                drawn.reflectance, cfg)
+        return Histogram(cfg.bin_width_s, counts)
+    depth, refl = img.depth_m.ravel(), img.reflectance.ravel()
+    changed = np.flatnonzero((depth != backdrop.image.depth_m.ravel())
+                             | (refl != backdrop.image.reflectance.ravel()))
+    returning = changed[depth[changed] > 0]
+    counts = _merged_counts(backdrop, changed, returning, depth[returning],
+                            refl[returning], cfg)
     return Histogram(cfg.bin_width_s, counts)
+
+
+def _merged_counts(backdrop: BackdropReturns, changed: np.ndarray, returning: np.ndarray,
+                   z: np.ndarray, refl: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """Bin sums of the backdrop's returns, less those of the changed pixels,
+    plus the returns of the pixels `returning` at depth z and reflectance refl."""
+    # a changed pixel's backdrop return keeps its place with weight 0:
+    # every bin sum starts at +0 and stays >= 0, so adding +0 changes no bit
+    gone = backdrop.rank[changed]
+    weights = backdrop.photons.copy()
+    weights[gone[gone >= 0]] = 0.0
+    new_bins, new_photons = _pixel_returns(returning, z, refl, cfg)
+    order = new_photons.argsort()
+    new_bins, new_photons = new_bins[order], new_photons[order]
+    # merge: new return k goes before the backdrop returns not smaller
+    # than it, after the k new returns before it
+    at = backdrop.photons.searchsorted(new_photons) + np.arange(returning.size)
+    rest = np.ones(weights.size + returning.size, dtype=bool)
+    rest[at] = False
+    photons = np.empty(rest.size)
+    photons[at] = new_photons
+    photons[rest] = weights
+    bins = np.empty(rest.size, dtype=np.int64)
+    bins[at] = new_bins
+    bins[rest] = backdrop.bins
+    return np.bincount(bins, weights=photons, minlength=cfg.bins)
 
 
 def convolve_irf(h: Histogram, dt_s: float) -> Histogram:

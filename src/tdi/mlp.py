@@ -112,10 +112,6 @@ def init_model(layer_dims, seed: int, dtype=np.float32) -> MlpModel:
     return MlpModel(weights, biases)
 
 
-def default_model(n_bins: int, n_pixels: int, seed: int = 0) -> MlpModel:
-    return init_model([n_bins, *DEFAULT_HIDDEN, n_pixels], seed)
-
-
 def _activations(model: MlpModel, x: np.ndarray) -> list:
     """Layer activations for a batch (rows = samples); tanh except the last."""
     acts = [x]

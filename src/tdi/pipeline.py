@@ -6,15 +6,20 @@ form as long as possible so the same simulated scenes can be re-finalized
 under different IRF widths or noise levels without re-rendering. Rows keep
 their scene index, which keys every per-scene random draw, so a subset of
 scenes simulates and finalizes to the same bits as those rows of the whole set.
-The per-scene rows of `finalize` run on all usable cores when histograms are
-long; each row's bits do not depend on how many cores there are.
+Each scene is drawn on a background rendered once per call, and its histogram
+recomputes only the pixels of its overlay (`scene.overlay`), without
+comparing whole frames. The per-scene rows of `finalize` run on all usable
+cores when histograms are long and get an IRF or noise; each row's bits do
+not depend on how many cores there are.
+`generate_dataset` simulates and finalizes one block of rows at a time, so
+it never holds the float64 raw set: its peak is the float32 dataset plus one
+counts block and the scene list.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,10 +35,14 @@ SWEEP_ERRORS = (ValueError, store.StoreError, mlp.TrainingDivergedError)
 # Stream keys that keep each purpose's per-scene draws independent.
 REFLECTIVITY_STREAM = 1
 NOISE_STREAM = 2
-# Shorter histograms finalize on one thread: their per-row numpy calls are
-# too brief for two threads to overlap, and the threads' contention for the
-# GIL cost more than they saved (a desk-size sweep round ran 10% slower).
+# Shorter histograms, and rows that are only normalized, finalize on one
+# thread: their per-row numpy calls are too brief for two threads to overlap,
+# and the threads' contention for the GIL cost more than they saved (a
+# desk-size sweep round ran 10% slower; finalizing 1200 IRF- and noise-free
+# paper-size rows took 82 ms threaded against 67 ms inline).
 _THREADED_MIN_BINS = 4000
+# Scenes generate_dataset simulates and finalizes per block.
+_BLOCK_ROWS = 32
 
 
 @dataclass
@@ -112,33 +121,24 @@ class RawDataset:
         return RawDataset(self.counts[rows], self.images[rows], self.recipe, self.scenes[rows])
 
 
-@contextmanager
-def _scene_errors(index):
-    """Prefix a ValueError raised while handling one scene with its index."""
-    try:
-        yield
-    except ValueError as exc:
-        raise type(exc)(f"scene {index}: {exc}") from exc
+def _scene_error(exc: ValueError, index) -> ValueError:
+    """The same kind of error, its message prefixed with the scene's index."""
+    return type(exc)(f"scene {index}: {exc}")
 
 
-def simulate_raw(recipe: DatasetRecipe, scenes=None) -> RawDataset:
-    """Render and histogram the listed scenes of build_scenes(recipe), or all.
+def _simulate_rows(built: list, indices: np.ndarray, cfg: SimConfig, backdrops: dict,
+                   counts: np.ndarray, images: np.ndarray) -> None:
+    """Simulate scenes built[indices] into the same rows of `counts` and `images`.
 
-    Each distinct background is rendered, and its returns computed, once per
-    call; every scene's placements are drawn onto a copy of the render, and
-    its histogram recomputes only the pixels they change.
+    `backdrops` caches, per background, its render and its returns; pass the
+    same dict for every block of one call. Each scene is drawn on a copy of
+    its backdrop, and its histogram recomputes only the pixels its overlay
+    lists. `images` may be float32, which rounds each value as the Dataset
+    cast would.
     """
-    cfg = recipe.sim
-    built = build_scenes(recipe)
-    indices = np.arange(len(built)) if scenes is None else np.asarray(scenes, dtype=np.int64)
-    if indices.ndim != 1 or ((indices < 0) | (indices >= len(built))).any():
-        raise ValueError(f"scenes must be a 1-D list of indices in [0, {len(built)})")
-    backdrops = {}              # id(background) -> its render and returns
-    counts = np.zeros((len(indices), cfg.bins), dtype=np.float64)
-    images = np.zeros((len(indices), cfg.img_w * cfg.img_h), dtype=np.float64)
     for row, index in enumerate(indices):
         sc = built[index]
-        with _scene_errors(index):
+        try:
             if id(sc.background) not in backdrops:
                 backdrops[id(sc.background)] = forward.backdrop_returns(
                     scene.render_background(sc.background, cfg), cfg)
@@ -146,6 +146,26 @@ def simulate_raw(recipe: DatasetRecipe, scenes=None) -> RawDataset:
             img = scene.render(sc, cfg, backdrop.image)
             counts[row] = forward.simulate_histogram(img, cfg, backdrop).counts
             images[row] = scene.normalize_image(img, cfg.z_max)
+        except ValueError as exc:
+            raise _scene_error(exc, index) from exc
+
+
+def simulate_raw(recipe: DatasetRecipe, scenes=None) -> RawDataset:
+    """Render and histogram the listed scenes of build_scenes(recipe), or all.
+
+    Each distinct background is rendered, and its returns computed, once per
+    call; every scene's placements are drawn onto a copy of the render, and
+    its histogram recomputes only the pixels they change (the image's
+    `scene.Overlay`).
+    """
+    cfg = recipe.sim
+    built = build_scenes(recipe)
+    indices = np.arange(len(built)) if scenes is None else np.asarray(scenes, dtype=np.int64)
+    if indices.ndim != 1 or ((indices < 0) | (indices >= len(built))).any():
+        raise ValueError(f"scenes must be a 1-D list of indices in [0, {len(built)})")
+    counts = np.empty((len(indices), cfg.bins), dtype=np.float64)
+    images = np.empty((len(indices), cfg.img_w * cfg.img_h), dtype=np.float64)
+    _simulate_rows(built, indices, cfg, {}, counts, images)
     return RawDataset(counts=counts, images=images, recipe=recipe, scenes=indices)
 
 
@@ -189,41 +209,71 @@ def _map_rows(work, n: int) -> None:
             raise exc
 
 
-def finalize(raw: RawDataset, irf_dt_s: float | None = None,
-             noise_level: int | None = None) -> store.Dataset:
-    """Apply IRF + per-scene noise, normalize to [0, 1], pack as a storable dataset.
+def _finalize_rows(counts: np.ndarray, scenes: np.ndarray, cfg: SimConfig,
+                   dt: float, level: int, out: np.ndarray) -> None:
+    """IRF, noise and normalization of each row of `counts` into float32 `out`.
 
-    Rows of at least _THREADED_MIN_BINS bins run on all usable cores; the
-    bytes are the same either way.
+    Row k is keyed by scene index scenes[k]. Rows of at least
+    _THREADED_MIN_BINS bins that get an IRF or noise run on all usable
+    cores; the bytes are the same either way.
     """
-    cfg = raw.recipe.sim
-    dt = cfg.irf_dt_s if irf_dt_s is None else irf_dt_s
-    level = cfg.noise_level if noise_level is None else noise_level
     spec = forward.NoiseSpec.from_level(level)
-    # float32 as stored: each row rounds here exactly as the Dataset cast would
-    out = np.empty(raw.counts.shape, dtype=np.float32)
 
     def rows(lo, hi):
         for row in range(lo, hi):
-            index = int(raw.scenes[row])
-            with _scene_errors(index):
-                h = forward.Histogram(cfg.bin_width_s, raw.counts[row])
+            index = int(scenes[row])
+            try:
+                h = forward.Histogram(cfg.bin_width_s, counts[row])
                 if dt > 0:
                     h = forward.convolve_irf(h, dt)
                 if level > 0:
                     h = forward.add_noise(h, spec, seed=(cfg.seed, NOISE_STREAM, index))
+                # float32 as stored: each row rounds here exactly as the Dataset cast would
                 out[row] = forward.normalize_histogram(h)
+            except ValueError as exc:
+                raise _scene_error(exc, index) from exc
 
-    if cfg.bins >= _THREADED_MIN_BINS:
-        _map_rows(rows, len(raw))
+    if cfg.bins >= _THREADED_MIN_BINS and (dt > 0 or level > 0):
+        _map_rows(rows, len(counts))
     else:
-        rows(0, len(raw))
+        rows(0, len(counts))
+
+
+def finalize(raw: RawDataset, irf_dt_s: float | None = None,
+             noise_level: int | None = None) -> store.Dataset:
+    """Apply IRF + per-scene noise, normalize to [0, 1], pack as a storable dataset."""
+    cfg = raw.recipe.sim
+    dt = cfg.irf_dt_s if irf_dt_s is None else irf_dt_s
+    level = cfg.noise_level if noise_level is None else noise_level
+    out = np.empty(raw.counts.shape, dtype=np.float32)
+    _finalize_rows(raw.counts, raw.scenes, cfg, dt, level, out)
     return store.Dataset(histograms=out, images=raw.images,
                          img_w=cfg.img_w, img_h=cfg.img_h)
 
 
 def generate_dataset(recipe: DatasetRecipe) -> store.Dataset:
-    return finalize(simulate_raw(recipe))
+    """The bytes of finalize(simulate_raw(recipe)), made one block of rows at a time.
+
+    Each block of _BLOCK_ROWS scenes is simulated into one reused float64
+    counts block and finalized straight into the float32 dataset, so the
+    peak is the dataset plus one counts block and the scene list, not the
+    whole float64 raw set as well.
+    """
+    cfg = recipe.sim
+    built = build_scenes(recipe)
+    n = len(built)
+    histograms = np.empty((n, cfg.bins), dtype=np.float32)
+    images = np.empty((n, cfg.img_w * cfg.img_h), dtype=np.float32)
+    block = np.empty((min(n, _BLOCK_ROWS), cfg.bins), dtype=np.float64)
+    backdrops = {}
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(n, lo + _BLOCK_ROWS)
+        indices = np.arange(lo, hi)
+        _simulate_rows(built, indices, cfg, backdrops, block[: hi - lo], images[lo:hi])
+        _finalize_rows(block[: hi - lo], indices, cfg, cfg.irf_dt_s, cfg.noise_level,
+                       histograms[lo:hi])
+    return store.Dataset(histograms=histograms, images=images,
+                         img_w=cfg.img_w, img_h=cfg.img_h)
 
 
 def _split_rows(n: int, n_test: int, seed: int):

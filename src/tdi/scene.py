@@ -5,10 +5,19 @@ at a single depth, scaled on screen by 2/d (d = 3D distance of the placement)
 and composited against a wall-plus-boxes background with nearest-surface-wins
 occlusion. Rendering is a pure function of (scene, config); a pixel belongs
 to a surface iff its center falls inside that surface's projected footprint.
+
+A placement's footprint is a rectangle of the frame plus a boolean sub-mask
+(`placement_rect`). A scene drawn on its background render is described by
+its overlay: the ascending flat indices of the pixels its placements change,
+with their new depth and reflectance. Computing it touches only the
+rectangle that bounds the footprints; `render` is a copy of the background
+render with the overlay written in, and the image it returns keeps the
+overlay, so the histogram recomputes only those pixels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -113,10 +122,17 @@ class Scene:
 
 @dataclass
 class DepthImage:
-    """Per-pixel axial depth in meters (0 = no return) plus reflectivity."""
+    """Per-pixel axial depth in meters (0 = no return) plus reflectivity.
+
+    `overlay` is set by `render` when it draws a scene on a given backdrop:
+    the scene's `Overlay` on that backdrop, which lists every pixel where
+    this image differs from it. Edit copies of the arrays of such an image,
+    not the arrays themselves: a `DepthImage` built from them has no overlay.
+    """
 
     depth_m: np.ndarray
     reflectance: np.ndarray
+    overlay: Overlay | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.depth_m = np.asarray(self.depth_m, dtype=np.float64)
@@ -174,6 +190,14 @@ def pixel_offsets(n: int) -> np.ndarray:
     exactly mirror-consistent.
     """
     return (np.arange(n, dtype=np.float64) - n / 2.0) + 0.5
+
+
+@functools.lru_cache(maxsize=16)
+def _flat_indices(h: int, w: int) -> np.ndarray:
+    """Read-only (h, w) grid of row-major flat pixel indices, made once per frame size."""
+    grid = np.arange(h * w).reshape(h, w)
+    grid.flags.writeable = False
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +285,14 @@ def silhouette_from_pgm(path, id: int = 0, native_height_m: float = 1.75) -> Sil
 # Rendering
 
 
-def _silhouette_footprint(sil: Silhouette, x: float, y: float, z: float,
-                          cfg: SimConfig) -> np.ndarray:
-    """Boolean (H, W) footprint of an unmirrored silhouette at (x, y, z)."""
+def _silhouette_rect(sil: Silhouette, x: float, y: float, z: float,
+                     cfg: SimConfig):
+    """In-frame footprint of an unmirrored silhouette at (x, y, z).
+
+    Returns (r0, c0, sub): the footprint covers rows r0 to r0 + sub.shape[0]
+    and columns c0 to c0 + sub.shape[1] of the frame, as the boolean sub-mask
+    `sub`; no pixel outside that rectangle is covered.
+    """
     h_mask, w_mask = sil.mask.shape
     d = math.sqrt(x * x + y * y + z * z)
     f = cfg.focal_px
@@ -274,25 +303,37 @@ def _silhouette_footprint(sil: Silhouette, x: float, y: float, z: float,
     u_c = cfg.img_w / 2.0 + f * (x / z)
     v_c = cfg.img_h / 2.0 - f * (y / z)
 
-    u = pixel_offsets(cfg.img_w) + cfg.img_w / 2.0   # pixel centers, columns
-    v = pixel_offsets(cfg.img_h) + cfg.img_h / 2.0   # pixel centers, rows
+    # pixel centers j + 0.5: exactly pixel_offsets(n) + n / 2
+    u = np.arange(cfg.img_w) + 0.5    # columns
+    v = np.arange(cfg.img_h) + 0.5    # rows
     cols = np.floor((u - u_c) / cell + w_mask / 2.0).astype(np.int64)
     rows = np.floor((v - v_c) / cell + h_mask / 2.0).astype(np.int64)
 
     # rows and cols are nondecreasing, so the in-mask ones are one range each
-    r0, r1 = np.searchsorted(rows, (0, h_mask))
-    c0, c1 = np.searchsorted(cols, (0, w_mask))
-    fp = np.zeros((cfg.img_h, cfg.img_w), dtype=bool)
-    fp[r0:r1, c0:c1] = sil.mask[rows[r0:r1, None], cols[None, c0:c1]]
-    return fp
+    # (array methods: the np.* wrappers cost more than these small calls)
+    r0, r1 = rows.searchsorted((0, h_mask)).tolist()
+    c0, c1 = cols.searchsorted((0, w_mask)).tolist()
+    return r0, c0, sil.mask.take(rows[r0:r1], axis=0).take(cols[c0:c1], axis=1)
+
+
+def placement_rect(p: Placement, cfg: SimConfig):
+    """(r0, c0, sub) of a placement, as `_silhouette_rect` gives them.
+
+    A mirrored placement flips the rectangle and sub-mask of the placement at
+    -x, so a scene and its mirror render as exact flips.
+    """
+    if not p.mirrored:
+        return _silhouette_rect(p.silhouette, p.x, p.y, p.z, cfg)
+    r0, c0, sub = _silhouette_rect(p.silhouette, -p.x, p.y, p.z, cfg)
+    return r0, cfg.img_w - c0 - sub.shape[1], sub[:, ::-1]
 
 
 def placement_footprint(p: Placement, cfg: SimConfig) -> np.ndarray:
-    """Footprint of a placement; mirroring flips the footprint of the
-    placement at -x, so a scene and its mirror render as exact flips."""
-    if p.mirrored:
-        return np.fliplr(_silhouette_footprint(p.silhouette, -p.x, p.y, p.z, cfg))
-    return _silhouette_footprint(p.silhouette, p.x, p.y, p.z, cfg)
+    """Boolean (H, W) footprint of a placement: its rectangle in a blank frame."""
+    r0, c0, sub = placement_rect(p, cfg)
+    fp = np.zeros((cfg.img_h, cfg.img_w), dtype=bool)
+    fp[r0: r0 + sub.shape[0], c0: c0 + sub.shape[1]] = sub
+    return fp
 
 
 def render_background(bg: Background, cfg: SimConfig) -> DepthImage:
@@ -316,6 +357,71 @@ def render_background(bg: Background, cfg: SimConfig) -> DepthImage:
     return DepthImage(depth_m=depth, reflectance=refl)
 
 
+@dataclass
+class Overlay:
+    """A scene as what its placements change on its background render.
+
+    `backdrop` is the render it is drawn on, `pixels` the ascending
+    row-major flat indices of the changed pixels, and `depth_m` and
+    `reflectance` their values once every placement is drawn. Drawing only
+    ever brings a pixel closer, so the changed pixels are those whose depth
+    dropped.
+    """
+
+    backdrop: DepthImage = field(repr=False)
+    pixels: np.ndarray          # (k,) int64, ascending
+    depth_m: np.ndarray         # (k,) float64
+    reflectance: np.ndarray     # (k,) float64
+
+    def image(self) -> DepthImage:
+        """The whole render: a copy of the backdrop with the changed pixels
+        replaced, carrying this overlay."""
+        depth, refl = self.backdrop.depth_m.copy(), self.backdrop.reflectance.copy()
+        depth.put(self.pixels, self.depth_m)
+        refl.put(self.pixels, self.reflectance)
+        return DepthImage(depth_m=depth, reflectance=refl, overlay=self)
+
+
+def overlay(scene: Scene, cfg: SimConfig, backdrop: DepthImage) -> Overlay:
+    """The pixels a scene's placements change on `backdrop`, and their new values.
+
+    `backdrop` must be `render_background(scene.background, cfg)`. Work stays
+    inside the rectangle that bounds the placements' footprints: each
+    placement covers the pixels of its sub-mask that are farther than what
+    the backdrop and the earlier placements left there, as in a whole-frame
+    render.
+    """
+    bg = scene.background
+    if bg.wall_depth_m > cfg.z_max:
+        raise ValueError(f"wall depth {bg.wall_depth_m} m exceeds z_max {cfg.z_max} m")
+    drawn = []
+    for p in scene.placements:
+        if not (cfg.z_min <= p.z <= cfg.z_max):
+            raise ValueError(
+                f"placement depth {p.z} m outside configured range "
+                f"[{cfg.z_min}, {cfg.z_max}] m")
+        r0, c0, sub = placement_rect(p, cfg)
+        if sub.size:
+            drawn.append((p, r0, c0, sub))
+    if not drawn:
+        return Overlay(backdrop, np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
+    top = min(r0 for _, r0, _, _ in drawn)
+    left = min(c0 for _, _, c0, _ in drawn)
+    box = (slice(top, max(r0 + sub.shape[0] for _, r0, _, sub in drawn)),
+           slice(left, max(c0 + sub.shape[1] for _, _, c0, sub in drawn)))
+    depth = backdrop.depth_m[box].copy()
+    refl = backdrop.reflectance[box].copy()
+    for p, r0, c0, sub in drawn:
+        at = (slice(r0 - top, r0 - top + sub.shape[0]),
+              slice(c0 - left, c0 - left + sub.shape[1]))
+        hit = sub & (p.z < depth[at])
+        depth[at][hit] = p.z
+        refl[at][hit] = p.reflectivity
+    changed = depth < backdrop.depth_m[box]
+    pixels = _flat_indices(cfg.img_h, cfg.img_w)[box][changed]
+    return Overlay(backdrop, pixels, depth[changed], refl[changed])
+
+
 def render(scene: Scene, cfg: SimConfig, backdrop: DepthImage | None = None) -> DepthImage:
     """Project a scene to a depth + reflectance image (nearest surface wins).
 
@@ -323,27 +429,14 @@ def render(scene: Scene, cfg: SimConfig, backdrop: DepthImage | None = None) -> 
     overwrite pixels they cover whenever they are closer than what is
     already there. Placements that project fully outside the frame simply
     leave no footprint. `backdrop`, when given, must be
-    `render_background(scene.background, cfg)`; placements are drawn onto a
-    copy of it, so one background render serves many scenes.
+    `render_background(scene.background, cfg)`; the scene's `overlay` is
+    drawn onto a copy of it, so one background render serves many scenes,
+    and the image keeps that overlay, so `forward.simulate_histogram` can
+    recompute only the pixels it lists.
     """
-    bg = scene.background
-    if bg.wall_depth_m > cfg.z_max:
-        raise ValueError(f"wall depth {bg.wall_depth_m} m exceeds z_max {cfg.z_max} m")
-
     if backdrop is None:
-        backdrop = render_background(bg, cfg)
-    depth, refl = backdrop.depth_m.copy(), backdrop.reflectance.copy()
-
-    for p in scene.placements:
-        if not (cfg.z_min <= p.z <= cfg.z_max):
-            raise ValueError(
-                f"placement depth {p.z} m outside configured range "
-                f"[{cfg.z_min}, {cfg.z_max}] m")
-        hit = placement_footprint(p, cfg) & (p.z < depth)
-        depth[hit] = p.z
-        refl[hit] = p.reflectivity
-
-    return DepthImage(depth_m=depth, reflectance=refl)
+        backdrop = render_background(scene.background, cfg)
+    return overlay(scene, cfg, backdrop).image()
 
 
 def augment(silhouettes: list, background: Background, cfg: SimConfig,

@@ -1,10 +1,15 @@
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reference import lexsort_histogram, serial_render
+from test_simulate_properties import recipes
 from tdi import forward, mlp, pipeline, scene
 
 
@@ -118,11 +123,12 @@ def test_pooled_rows_match_inline_rows(tiny_recipe, chunks):
 def test_first_failing_row_wins_across_chunks(tiny_recipe, chunks):
     # two chunks of 24 rows; the second fails on its first row, before the
     # first chunk reaches its last row, yet the error names the lower scene
+    # (noise on: rows that are only normalized do not run threaded)
     raw = pipeline.simulate_raw(tiny_recipe)
     raw.counts[[23, 24, 40], 5] = np.nan
     chunks(2)
     with pytest.raises(ValueError, match="^scene 23: counts must be finite"):
-        pipeline.finalize(raw)
+        pipeline.finalize(raw, noise_level=1)
 
 
 def test_unexpected_error_in_a_row_propagates_unchanged(tiny_recipe, chunks, monkeypatch):
@@ -155,6 +161,46 @@ def test_finalize_subset_matches_full_rows(tiny_recipe):
     part = pipeline.finalize(raw.take(rows), irf_dt_s=250e-12, noise_level=2)
     assert part.histograms.tobytes() == full.histograms[rows].tobytes()
     assert part.images.tobytes() == full.images[rows].tobytes()
+
+
+@given(recipe=recipes(), irf=st.booleans(), noise=st.integers(0, 3),
+       block=st.integers(1, 30), cores=st.integers(1, 5))
+def test_generate_dataset_equals_finalize_of_simulate_raw(recipe, irf, noise, block, cores):
+    # 4 to 24 scenes: blocks that divide the rows, that do not, and one
+    # block larger than all of them; every block finalized on 1 to 5 threads
+    recipe = replace(recipe, sim=recipe.sim.with_(irf_dt_s=250e-12 if irf else 0.0,
+                                                  noise_level=noise))
+    expected = pipeline.finalize(pipeline.simulate_raw(recipe))
+    with mock.patch.object(pipeline, "_BLOCK_ROWS", block), \
+            mock.patch.object(pipeline, "_THREADED_MIN_BINS", 0), \
+            mock.patch.object(pipeline, "_usable_cores", lambda: cores):
+        ds = pipeline.generate_dataset(recipe)
+    assert (ds.img_w, ds.img_h) == (expected.img_w, expected.img_h)
+    assert ds.histograms.tobytes() == expected.histograms.tobytes()
+    assert ds.images.tobytes() == expected.images.tobytes()
+
+
+def test_generate_dataset_holds_one_block_not_the_raw_set(traced_peak, monkeypatch):
+    # 400 scenes of one silhouette in 25 blocks, so the rows outweigh what
+    # building the scenes allocates on the way
+    sim = pipeline.desk_sim(seed=5).with_(img_w=16, img_h=16, bins=2000)
+    recipe = pipeline.DatasetRecipe(sim=sim, n_silhouettes=1, depth_steps=10,
+                                    lateral_steps=20)
+    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 16)
+    dataset = recipe.n_scenes * (sim.bins + sim.img_w * sim.img_h) * 4
+    two_blocks = 2 * 16 * sim.bins * 8
+    pipeline.build_scenes(recipe)   # so one-time caches do not count as the scene list
+    tracemalloc.start()
+    try:
+        scenes = pipeline.build_scenes(recipe)
+        scene_list = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del scenes
+    bound = dataset + two_blocks + scene_list
+    assert traced_peak(lambda: pipeline.generate_dataset(recipe)) < bound
+    # the two-step path holds the float64 raw set as well
+    assert traced_peak(lambda: pipeline.finalize(pipeline.simulate_raw(recipe))) > bound
 
 
 def _with_seed(recipe, seed, **kw):

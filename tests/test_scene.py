@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 import scipy.ndimage
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tdi import scene
+from reference import lexsort_histogram, serial_render
+from test_simulate_properties import SILHOUETTES, scenes
+from tdi import forward, scene
 from tdi.config import SimConfig
 
 
@@ -174,6 +178,66 @@ def test_mirrored_scene_renders_as_exact_flip():
     a = scene.render(sc, CFG)
     b = scene.render(sc.mirror(), CFG)
     assert np.array_equal(b.depth_m, np.fliplr(a.depth_m))
+
+
+# ---------------------------------------------------------------------------
+# overlay
+
+# a 0.3 m square: small enough to hide wholly behind the nearest default box
+SMALL = scene.Silhouette(id=99, mask=np.ones((4, 4), dtype=bool), native_height_m=0.3)
+
+
+def hidden_placement():
+    """SMALL at 3.8 m, straight behind the center of the default 1.5 m box."""
+    box = scene.default_background().objects[0]
+    z = 3.8
+    return scene.Placement(SMALL, x=box.x * z / box.z, y=box.y * z / box.z, z=z)
+
+
+def test_placement_behind_a_closer_box_changes_nothing():
+    sc = scene.Scene(scene.default_background(), [hidden_placement()])
+    assert scene.placement_footprint(sc.placements[0], CFG).any()
+    backdrop = scene.render_background(sc.background, CFG)
+    assert scene.overlay(sc, CFG, backdrop).pixels.size == 0
+
+
+@given(drawn=scenes(), data=st.data())
+def test_overlay_is_the_whole_frame_diff(drawn, data):
+    # the drawn scene, sometimes with a placement wholly outside the frame
+    # and one hidden behind a closer box, anywhere in the drawing order
+    cfg, sc = drawn
+    placements = list(sc.placements)
+    for extra in (scene.Placement(SILHOUETTES[0], x=50.0, z=2.0), hidden_placement()):
+        if data.draw(st.booleans()):
+            placements.insert(data.draw(st.integers(0, len(placements))), extra)
+    sc = scene.Scene(sc.background, placements)
+    backdrop = scene.render_background(sc.background, cfg)
+    img = scene.render(sc, cfg, backdrop)
+    drawn = img.overlay
+    assert drawn.backdrop is backdrop
+    whole = serial_render(sc, cfg)
+    changed = np.flatnonzero((whole.depth_m != backdrop.depth_m)
+                             | (whole.reflectance != backdrop.reflectance))
+    assert drawn.pixels.tobytes() == changed.tobytes()
+    assert drawn.depth_m.tobytes() == whole.depth_m.ravel()[changed].tobytes()
+    assert drawn.reflectance.tobytes() == whole.reflectance.ravel()[changed].tobytes()
+    # the histogram from the overlay's pixels alone, with no frame diff
+    h = forward.simulate_histogram(img, cfg, forward.backdrop_returns(backdrop, cfg))
+    assert h.counts.tobytes() == lexsort_histogram(whole, cfg).tobytes()
+
+
+def test_image_drawn_on_another_backdrop_is_compared_whole():
+    # the image keeps its overlay on a bare wall; against the returns of the
+    # boxed background the histogram must diff the frames, not trust it
+    cfg = SimConfig(img_w=24, img_h=16, bins=400)
+    sc = scene.Scene(scene.uniform_background(),
+                     [scene.Placement(SILHOUETTES[1], x=0.2, z=2.0),
+                      scene.Placement(SILHOUETTES[2], x=-0.3, z=1.2, mirrored=True)])
+    img = scene.render(sc, cfg)
+    other = scene.render_background(scene.default_background(), cfg)
+    assert img.overlay.pixels.size
+    h = forward.simulate_histogram(img, cfg, forward.backdrop_returns(other, cfg))
+    assert h.counts.tobytes() == lexsort_histogram(serial_render(sc, cfg), cfg).tobytes()
 
 
 # ---------------------------------------------------------------------------
