@@ -1,8 +1,11 @@
 """Fully-connected inverse model: histogram vector -> depth image vector.
 
 Plain numpy multilayer perceptron with tanh hidden activations, a linear
-output layer, mean-squared-error loss, and Adam. Parameters default to
-float32 (the storage precision); gradient checking uses float64 models.
+output layer, mean-squared-error loss, and Adam. Adam keeps its moments
+scaled by 1 / (1 - beta), the reordering Kingma & Ba note in section 2, so
+each element costs ten array passes; the result stays within float rounding
+of the textbook update. Parameters default to float32 (the storage
+precision); gradient checking uses float64 models.
 """
 
 from __future__ import annotations
@@ -82,6 +85,12 @@ class TrainHistory:
 
 @dataclass
 class AdamState:
+    """Adam's moments, one array per weight then per bias, kept scaled.
+
+    With m and v the textbook moments (Kingma & Ba, Algorithm 1), `m` holds
+    m / (1 - beta1) and `v` holds v / (1 - beta2), so adam_step adds g and
+    g^2 to them unscaled.
+    """
     m: list
     v: list
 
@@ -207,6 +216,25 @@ def _gradient_shape(g) -> tuple:
     return (delta.shape[1], act.shape[1])
 
 
+def _factors_bound_products(delta: np.ndarray, act: np.ndarray, p: np.ndarray,
+                            t: int) -> bool:
+    """Check a weight gradient's factors once; True when no sum can overflow.
+
+    A nonfinite factor makes a nonfinite gradient, so it raises here, before
+    any parameter is touched. Every entry of delta.T @ act is a sum of batch
+    products, each at most max|delta| * max|act|; when batch times that is
+    below half the largest float of the parameter dtype (the margin covers
+    float rounding), every entry is finite and the per-block check can go.
+    The bound uses the parameter's dtype, which the products are built in.
+    """
+    d_max = float(np.max(np.abs(delta), initial=0.0))    # max propagates NaN
+    a_max = float(np.max(np.abs(act), initial=0.0))
+    if not (math.isfinite(d_max) and math.isfinite(a_max)):
+        raise TrainingDivergedError(
+            f"nonfinite gradient for parameter of shape {p.shape} at step {t}")
+    return delta.shape[0] * d_max * a_max < float(np.finfo(p.dtype).max) / 2
+
+
 def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
               config: TrainConfig) -> tuple[MlpModel, AdamState]:
     """One bias-corrected Adam update, in place; t counts from 1.
@@ -217,10 +245,16 @@ def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
     MATMUL_BLOCK elements, each of at least 2 rows; a factored gradient is
     built one row block at a time, by one matmul into a reused buffer, so no
     parameter-sized gradient is ever held. Each row block is updated in
-    sub-blocks of ADAM_BLOCK elements through two scratch buffers, in the
-    order of the whole-array update lr * (m / c1) / (sqrt(v / c2) + eps), so
-    the result is bit-identical to it. Each gradient sub-block is checked to
-    be finite before it is used; `grads` itself is never written.
+    sub-blocks of ADAM_BLOCK elements through two scratch buffers, on the
+    scaled moments AdamState holds: M = b1 M + g, V = b2 V + g^2 and
+    p -= k M / (sqrt(V) + eps'), with s = sqrt((1 - b2) / c2),
+    k = lr (1 - b1) / (c1 s) and eps' = eps / s. That is the textbook update
+    lr (m / c1) / (sqrt(v / c2) + eps) reordered (Kingma & Ba, section 2),
+    and the result is bit-identical to the same scaled update made on whole
+    arrays, not to the textbook form. A gradient that is not finite raises
+    TrainingDivergedError: factors are checked once, before any parameter
+    changes, and a gradient sub-block is checked before it is used unless
+    its factors bound every sum below overflow. `grads` is never written.
     """
     if t < 1:
         raise ValueError("step index t starts at 1")
@@ -236,17 +270,22 @@ def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
             raise ValueError(f"gradient shape {shape} != parameter shape {p.shape}")
         row_size = math.prod(p.shape[1:])
         bounds = _row_bounds(p.shape[0], row_size)
+        check = True
         if isinstance(g, tuple):
             widest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
             buffer_size = max(buffer_size, widest * row_size)
-        plan.append((bounds, row_size))
+            check = not _factors_bound_products(*g, p, t)
+        plan.append((bounds, row_size, check))
     b1, b2 = config.beta1, config.beta2
     correction1 = 1.0 - b1 ** t
     correction2 = 1.0 - b2 ** t
+    scale = math.sqrt((1.0 - b2) / correction2)
+    k = config.learning_rate * (1.0 - b1) / (correction1 * scale)
+    eps = config.eps / scale
     buffer = np.empty(buffer_size, dtype=model.dtype)
     scratch_a = np.empty(ADAM_BLOCK, dtype=model.dtype)
     scratch_b = np.empty(ADAM_BLOCK, dtype=model.dtype)
-    for p, g, m, v, (bounds, row_size) in zip(params, grads, state.m, state.v, plan):
+    for p, g, m, v, (bounds, row_size, check) in zip(params, grads, state.m, state.v, plan):
         p_flat, m_flat, v_flat = p.reshape(-1), m.reshape(-1), v.reshape(-1)
         if not isinstance(g, tuple):
             g_flat = np.ascontiguousarray(g).reshape(-1)
@@ -263,22 +302,18 @@ def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
                 gb = rows[lo - start: hi - start]
                 pb, mb, vb = p_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
                 a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
-                if not np.isfinite(gb).all():
+                if check and not np.isfinite(gb).all():
                     raise TrainingDivergedError(
                         f"nonfinite gradient for parameter of shape {p.shape} at step {t}")
                 mb *= b1
-                np.multiply(gb, 1.0 - b1, out=a)
-                mb += a
-                vb *= b2
+                mb += gb
                 np.multiply(gb, gb, out=a)
-                a *= 1.0 - b2
+                vb *= b2
                 vb += a
-                np.divide(vb, correction2, out=a)
-                np.sqrt(a, out=a)
-                a += config.eps
-                np.divide(mb, correction1, out=b)
-                b *= config.learning_rate
-                b /= a
+                np.sqrt(vb, out=a)
+                a += eps
+                np.divide(mb, a, out=b)
+                b *= k
                 pb -= b
     return model, state
 
@@ -310,6 +345,10 @@ def train(dataset, config: TrainConfig, model: MlpModel | None = None,
 
     if model is None:
         model = init_model([x.shape[1], *hidden_dims, y.shape[1]], config.seed)
+    for name, width, end, layer in (("inputs", x.shape[1], "input", model.layer_dims[0]),
+                                    ("targets", y.shape[1], "output", model.layer_dims[-1])):
+        if width != layer:
+            raise ValueError(f"{name} have width {width}, the model's {end} layer {layer}")
     x = x.astype(model.dtype, copy=False)
     y = y.astype(model.dtype, copy=False)
 

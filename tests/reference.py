@@ -74,6 +74,27 @@ def textbook_adam(params, grads_per_step, lr=1e-3, beta1=0.9, beta2=0.999, eps=1
     return params
 
 
+def scaled_adam(params, grads_per_step, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam on scaled moments M = m / (1 - beta1), V = v / (1 - beta2), whole arrays.
+
+    The textbook update reordered (Kingma & Ba, section 2): M = beta1 M + g,
+    V = beta2 V + g^2, p -= k * (M / (sqrt(V) + eps / s)) with
+    s = sqrt((1 - beta2) / c2) and k = lr (1 - beta1) / (c1 s). Same
+    arguments and result as textbook_adam, to within float rounding.
+    """
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        s = math.sqrt((1.0 - beta2) / (1.0 - beta2 ** t))
+        k = lr * (1.0 - beta1) / ((1.0 - beta1 ** t) * s)
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + g
+            v[i] = beta2 * v[i] + g * g
+            params[i] = params[i] - k * (m[i] / (np.sqrt(v[i]) + eps / s))
+    return params
+
+
 def reference_train(x, y, config, model):
     """mlp.train's batch schedule, one fresh gradients() list and adam_step per batch.
 

@@ -5,6 +5,7 @@ each; everything else is seconds. Each test prints a one-line verdict that
 bypasses pytest capture so the checklist is visible in any run mode.
 """
 
+import hashlib
 import math
 import time
 
@@ -35,6 +36,35 @@ def report(capfd):
 DESK_SEED = 123
 TRAIN_SEED = 7
 N_TEST = 200
+
+
+@pytest.fixture(scope="module", autouse=True)
+def train_each_model_once():
+    """Memoize mlp.train for this module, so equal trainings run once.
+
+    Criterion 7's clean point and criterion 8's fixed training use the data
+    and config of criterion 5's baseline model. The key is the sha256 of the
+    inputs and targets with the config and hidden dims, and a hit returns a
+    copy of what training returned, so no check sees anything else.
+    """
+    real_train, trained = mlp.train, {}
+
+    def train(dataset, config, model=None, hidden_dims=mlp.DEFAULT_HIDDEN):
+        if model is not None:
+            return real_train(dataset, config, model, hidden_dims)
+        key = [repr(config), tuple(hidden_dims)]
+        for arr in map(np.ascontiguousarray, dataset):
+            key += [arr.dtype.str, arr.shape, hashlib.sha256(arr).hexdigest()]
+        key = tuple(key)
+        if key not in trained:
+            trained[key] = real_train(dataset, config, hidden_dims=hidden_dims)
+        cached, history = trained[key]
+        return cached.copy(), mlp.TrainHistory(history.train_loss.copy(),
+                                               history.val_loss.copy())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mlp, "train", train)
+        yield
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reference import sum_expected_photons
 from tdi import forward, scene
@@ -222,6 +224,21 @@ def test_convolve_delta_peak_monotone_in_width():
     peaks = [forward.convolve_irf(h, dt).counts.max()
              for dt in (1e-11, 3e-11, 1e-10, 3e-10)]
     assert all(a >= b for a, b in zip(peaks, peaks[1:]))
+
+
+@given(bin_width_s=st.floats(1e-12, 1e-10), dt_bins=st.floats(0.05, 40.0),
+       extra=st.integers(1, 400),
+       spots=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 1e3)),
+                      min_size=1, max_size=6))
+def test_convolve_keeps_counts_away_from_edges(bin_width_s, dt_bins, extra, spots):
+    # returns whose bin centres lie at least 5 sigma of the IRF (dt / sqrt 2)
+    # inside both edges lose at most the Gaussian tail beyond 5 sigma, 3e-7
+    margin = max(0, math.ceil(5.0 * dt_bins / math.sqrt(2.0) - 0.5))
+    counts = np.zeros(2 * margin + 1 + extra)
+    for where, photons in spots:
+        counts[margin + round(where * extra)] += photons
+    out = forward.convolve_irf(forward.Histogram(bin_width_s, counts), dt_bins * bin_width_s)
+    assert abs(out.counts.sum() - counts.sum()) <= 1e-6 * counts.sum()
 
 
 def test_convolve_rejects_negative_width():

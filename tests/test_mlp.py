@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reference import (finite_difference_grads, max_grad_rel_error, reference_train,
-                       textbook_adam)
+                       scaled_adam, textbook_adam)
 from tdi import forward, mlp
 from tdi.config import SimConfig
 
@@ -234,20 +234,37 @@ def multi_block_model():
     return model
 
 
-def test_adam_matches_textbook_reference_bytes():
+def test_adam_matches_scaled_reference_bytes():
     model = multi_block_model()
     params = model.weights + model.biases
     rng = np.random.default_rng(5)
     steps = [[rng.standard_normal(p.shape).astype(np.float32) * 1e-2 for p in params]
              for _ in range(5)]
     cfg = mlp.TrainConfig()
-    expected = textbook_adam(params, steps, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    expected = scaled_adam(params, steps, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
     state = mlp.AdamState.zeros_like(model)
     for t, grads in enumerate(steps, start=1):
         mlp.adam_step(model, grads, state, t, cfg)
     for got, want in zip(model.weights + model.biases, expected):
         assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
+
+
+def test_adam_stays_within_float_rounding_of_textbook_adam():
+    # the scaled moments reorder the textbook arithmetic; measured 1.5e-8 here
+    model = multi_block_model()
+    params = model.weights + model.biases
+    rng = np.random.default_rng(12)
+    steps = [[rng.standard_normal(p.shape).astype(np.float32) * 1e-2 for p in params]
+             for _ in range(20)]
+    cfg = mlp.TrainConfig()
+    expected = textbook_adam(params, steps, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    state = mlp.AdamState.zeros_like(model)
+    for t, grads in enumerate(steps, start=1):
+        mlp.adam_step(model, grads, state, t, cfg)
+    worst = max(float(np.max(np.abs(got - want)))
+                for got, want in zip(model.weights + model.biases, expected))
+    assert worst < 1e-6
 
 
 def test_adam_leaves_gradients_unchanged():
@@ -293,14 +310,19 @@ def test_adam_factored_matches_dense_bytes(fan_out, fan_in, wide, tail, batch, s
     dense, factored = mlp.init_model(dims, seed=seed), mlp.init_model(dims, seed=seed)
     dense_state = mlp.AdamState.zeros_like(dense)
     factored_state = mlp.AdamState.zeros_like(factored)
+    initial = [p.copy() for p in dense.weights + dense.biases]
     cfg = mlp.TrainConfig()
+    steps = []
     for t in (1, 2):
         x = rng.uniform(0, 1, (batch, fan_in)).astype(np.float32)
         s = rng.uniform(0, 1, (batch, dims[-1])).astype(np.float32)
-        mlp.adam_step(dense, mlp.gradients(dense, x, s), dense_state, t, cfg)
+        steps.append(mlp.gradients(dense, x, s))
+        mlp.adam_step(dense, steps[-1], dense_state, t, cfg)
         mlp.adam_step(factored, mlp._backward(factored, x, s)[1], factored_state, t, cfg)
-    for got, want in zip(factored.weights + factored.biases, dense.weights + dense.biases):
-        assert got.tobytes() == want.tobytes()
+    expected = scaled_adam(initial, steps, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    for got, dense_p, want in zip(factored.weights + factored.biases,
+                                  dense.weights + dense.biases, expected):
+        assert got.tobytes() == dense_p.tobytes() == want.tobytes()
 
 
 def test_row_blocks_have_two_rows_and_about_a_block():
@@ -325,6 +347,37 @@ def test_adam_nonfinite_in_last_factored_row_block_names_shape_and_step():
     state = mlp.AdamState.zeros_like(model)
     with pytest.raises(mlp.TrainingDivergedError, match=r"shape \(150, 4101\) at step 4"):
         mlp.adam_step(model, grads, state, t=4, config=mlp.TrainConfig())
+
+
+def test_adam_nonfinite_factor_raises_before_any_parameter_changes():
+    model = mlp.init_model([4101, 150, 3], seed=0)
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0, 1, (8, 4101)).astype(np.float32)
+    s = rng.uniform(0, 1, (8, 3)).astype(np.float32)
+    state = mlp.AdamState.zeros_like(model)
+    cfg = mlp.TrainConfig()
+    mlp.adam_step(model, mlp._backward(model, x, s)[1], state, 1, cfg)  # nonzero moments
+    _, grads = mlp._backward(model, x, s)
+    grads[1][1][3, 7] = np.nan                 # the last weight's act, not its product
+    arrays = model.weights + model.biases + state.m + state.v
+    before = [a.tobytes() for a in arrays]
+    with pytest.raises(mlp.TrainingDivergedError, match=r"shape \(3, 150\) at step 2"):
+        mlp.adam_step(model, grads, state, t=2, config=cfg)
+    assert [a.tobytes() for a in arrays] == before
+
+
+def test_adam_overflowing_products_of_finite_factors_raise_per_block():
+    model = mlp.init_model([4, 3], seed=0)
+    bias = np.zeros(3, dtype=np.float32)
+    big = [(np.full((2, 3), 1e20, dtype=np.float32), np.full((2, 4), 1e20, dtype=np.float32)),
+           bias]                               # factors finite, each sum 2e40
+    near = [(np.full((2, 3), 1e19, dtype=np.float32), np.full((2, 4), 1e19, dtype=np.float32)),
+            bias]                              # past the bound, each sum 2e38 still finite
+    with np.errstate(over="ignore"):
+        with pytest.raises(mlp.TrainingDivergedError, match=r"shape \(3, 4\) at step 5"):
+            mlp.adam_step(model, big, mlp.AdamState.zeros_like(model), 5, mlp.TrainConfig())
+        mlp.adam_step(model, near, mlp.AdamState.zeros_like(model), 5, mlp.TrainConfig())
+    assert np.isfinite(model.weights[0]).all()
 
 
 def test_adam_rejects_mismatched_factors():
@@ -428,6 +481,26 @@ def test_train_rejects_bad_datasets():
         mlp.train((x, y), mlp.TrainConfig(batch_size=64))  # fewer pairs than a batch
     with pytest.raises(ValueError):
         mlp.train((x * 3.0, y), mlp.TrainConfig(batch_size=8))  # not normalized
+
+
+def test_train_rejects_model_of_other_input_width():
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(0, 1, (32, 50)), rng.uniform(0, 1, (32, 16))
+    model = mlp.init_model([40, 8, 16], seed=0)
+    before = [p.tobytes() for p in model.weights + model.biases]
+    with pytest.raises(ValueError, match="inputs have width 50, the model's input layer 40"):
+        mlp.train((x, y), mlp.TrainConfig(batch_size=8, epochs=1), model=model)
+    assert [p.tobytes() for p in model.weights + model.biases] == before
+
+
+def test_train_rejects_model_of_other_output_width():
+    rng = np.random.default_rng(4)
+    x, y = rng.uniform(0, 1, (32, 50)), rng.uniform(0, 1, (32, 16))
+    model = mlp.init_model([50, 8, 12], seed=0)
+    before = [p.tobytes() for p in model.weights + model.biases]
+    with pytest.raises(ValueError, match="targets have width 16, the model's output layer 12"):
+        mlp.train((x, y), mlp.TrainConfig(batch_size=8, epochs=1), model=model)
+    assert [p.tobytes() for p in model.weights + model.biases] == before
 
 
 def test_train_rejects_nan_inputs():
