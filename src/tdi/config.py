@@ -21,9 +21,6 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 # of the nonzero histogram bins).
 NOISE_FRACTIONS = (0.0, 0.032, 0.10, 0.33)
 
-# Best-case detector timing used by the resolution studies (2.3 ps).
-FINE_TIMING_S = 2.3e-12
-
 # Default sweep grids for the study drivers.
 IRF_SWEEP_S = (2.3e-12, 25e-12, 250e-12, 1000e-12)
 DATASET_SIZE_SWEEP = (500, 1000, 2000, 4000)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .config import NOISE_FRACTIONS, SPEED_OF_LIGHT, SimConfig
-from .scene import DepthImage, pixel_offsets
+from .scene import DepthImage, Overlay, pixel_offsets
 
 
 class SpanError(ValueError):
@@ -169,58 +169,46 @@ def simulate_histogram(img: DepthImage, cfg: SimConfig,
     independent of pixel enumeration order; in particular a scene and its
     exact mirror produce bit-identical histograms.
 
-    `backdrop`, when given, must be `backdrop_returns(b, cfg)` for the
-    render `b` that `img` was drawn onto (as by `scene.render(sc, cfg, b)`).
-    Only the pixels whose depth or reflectance differ from `b` are then
-    computed; the other returns come from the backdrop, already sorted. The
-    bytes are the same as without it. When `img` keeps its overlay on `b`
-    (`scene.render` with that backdrop), the changed pixels are the ones it
-    lists and no step reads the whole frame; otherwise they are found by
-    comparing the image with `b`.
+    There are two paths, with the same bytes. When `img` was drawn by
+    `scene.render(sc, cfg, b)` and `backdrop` is `backdrop_returns(b, cfg)`,
+    only the pixels of the image's overlay are computed and merged into the
+    backdrop's returns, already sorted; no step reads the whole frame. Any
+    other input, with or without `backdrop`, computes every pixel of the
+    image: that path is the oracle.
     """
     if img.depth_m.shape != (cfg.img_h, cfg.img_w):
         raise ValueError(
             f"image is {img.depth_m.shape}, config expects {(cfg.img_h, cfg.img_w)}")
-    if backdrop is None or backdrop.rank is None:
-        pixels = np.flatnonzero(img.depth_m > 0)
-        bins, photons = _image_returns(img, pixels, cfg)
-        # bincount adds its weights in array order, so after sorting by value
-        # each bin sums its photons in ascending order; equal values may swap
-        # places without changing a bit
-        order = np.argsort(photons)
-        counts = np.bincount(bins[order], weights=photons[order], minlength=cfg.bins)
-        return Histogram(cfg.bin_width_s, counts)
     drawn = img.overlay
-    if drawn is not None and drawn.backdrop is backdrop.image:
-        # every overlay pixel holds a placement, at depth z_min or more
-        counts = _merged_counts(backdrop, drawn.pixels, drawn.pixels, drawn.depth_m,
-                                drawn.reflectance, cfg)
-        return Histogram(cfg.bin_width_s, counts)
-    depth, refl = img.depth_m.ravel(), img.reflectance.ravel()
-    changed = np.flatnonzero((depth != backdrop.image.depth_m.ravel())
-                             | (refl != backdrop.image.reflectance.ravel()))
-    returning = changed[depth[changed] > 0]
-    counts = _merged_counts(backdrop, changed, returning, depth[returning],
-                            refl[returning], cfg)
+    if (backdrop is not None and backdrop.rank is not None and drawn is not None
+            and drawn.backdrop is backdrop.image):
+        return Histogram(cfg.bin_width_s, _merged_counts(backdrop, drawn, cfg))
+    pixels = np.flatnonzero(img.depth_m > 0)
+    bins, photons = _image_returns(img, pixels, cfg)
+    # bincount adds its weights in array order, so after sorting by value
+    # each bin sums its photons in ascending order; equal values may swap
+    # places without changing a bit
+    order = np.argsort(photons)
+    counts = np.bincount(bins[order], weights=photons[order], minlength=cfg.bins)
     return Histogram(cfg.bin_width_s, counts)
 
 
-def _merged_counts(backdrop: BackdropReturns, changed: np.ndarray, returning: np.ndarray,
-                   z: np.ndarray, refl: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """Bin sums of the backdrop's returns, less those of the changed pixels,
-    plus the returns of the pixels `returning` at depth z and reflectance refl."""
-    # a changed pixel's backdrop return keeps its place with weight 0:
-    # every bin sum starts at +0 and stays >= 0, so adding +0 changes no bit
-    gone = backdrop.rank[changed]
+def _merged_counts(backdrop: BackdropReturns, drawn: Overlay, cfg: SimConfig) -> np.ndarray:
+    """Bin sums of the backdrop's returns with those of the overlay's pixels
+    replaced by the overlay's own; every overlay pixel returns light."""
+    # a replaced backdrop return keeps its place with weight 0: every bin
+    # sum starts at +0 and stays >= 0, so adding +0 changes no bit
+    gone = backdrop.rank[drawn.pixels]
     weights = backdrop.photons.copy()
     weights[gone[gone >= 0]] = 0.0
-    new_bins, new_photons = _pixel_returns(returning, z, refl, cfg)
+    new_bins, new_photons = _pixel_returns(drawn.pixels, drawn.depth_m, drawn.reflectance,
+                                           cfg)
     order = new_photons.argsort()
     new_bins, new_photons = new_bins[order], new_photons[order]
     # merge: new return k goes before the backdrop returns not smaller
     # than it, after the k new returns before it
-    at = backdrop.photons.searchsorted(new_photons) + np.arange(returning.size)
-    rest = np.ones(weights.size + returning.size, dtype=bool)
+    at = backdrop.photons.searchsorted(new_photons) + np.arange(new_photons.size)
+    rest = np.ones(weights.size + new_photons.size, dtype=bool)
     rest[at] = False
     photons = np.empty(rest.size)
     photons[at] = new_photons
@@ -312,13 +300,17 @@ def read_histogram_csv(path) -> Histogram:
         if header != "bin_start_s,count":
             raise ValueError(f"unexpected histogram CSV header: {header!r}")
         starts, counts = [], []
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            t, c = line.split(",")
-            starts.append(float(t))
-            counts.append(float(c))
+            try:
+                t, c = (float(v) for v in line.split(","))
+            except ValueError:
+                raise ValueError(f"histogram CSV line {number}: expected two numbers "
+                                 f"'bin_start_s,count', got {line!r}") from None
+            starts.append(t)
+            counts.append(c)
     if len(starts) < 2:
         raise ValueError("histogram CSV needs at least 2 bins")
     # width from the end points: the first gap alone carries the rounding of

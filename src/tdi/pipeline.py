@@ -58,6 +58,9 @@ class DatasetRecipe:
     reflectivity_range: tuple | None = None   # loguniform per scene when set
 
     def __post_init__(self):
+        for name in ("n_silhouettes", "depth_steps", "lateral_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.background not in BACKGROUND_KINDS:
             raise ValueError(f"background must be one of {BACKGROUND_KINDS}")
         if self.reflectivity_range is not None:
@@ -313,72 +316,65 @@ class SweepPoint:
         return cls(label, None, error=f"{type(exc).__name__}: {exc}")
 
 
-def _train_and_score(train_pairs, test_pairs, train_cfg, img_w, img_h) -> float:
-    model, _ = mlp.train(train_pairs, train_cfg)
-    _, overall = evaluate_model(model, test_pairs[0], test_pairs[1], img_w, img_h)
-    return overall
+def _mean_ssim(model: mlp.MlpModel, test: store.Dataset) -> float:
+    """Mean SSIM of the model's predictions over a finalized test set."""
+    return evaluate_model(model, test.histograms, test.images, test.img_w, test.img_h)[1]
+
+
+def _sweep_points(points, score) -> list:
+    """A SweepPoint per (label, value) pair, scored by `score(value)`.
+
+    A point that fails with one of SWEEP_ERRORS is recorded with its error
+    and the sweep goes on to the next; any other exception propagates.
+    """
+    swept = []
+    for label, value in points:
+        try:
+            swept.append(SweepPoint(label, score(value)))
+        except SWEEP_ERRORS as exc:
+            swept.append(SweepPoint.failed(label, exc))
+    return swept
 
 
 def sweep_irf(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
               dts=IRF_SWEEP_S) -> list:
     """Retrain once per IRF width on re-blurred histograms; score test SSIM."""
-    cfg = raw.recipe.sim
-    train_rows, test_rows = _split_rows(len(raw), n_test, cfg.seed)
-    points = []
-    for dt in dts:
-        label = f"{dt * 1e12:g}ps"
-        try:
-            train = finalize(raw.take(train_rows), irf_dt_s=dt)
-            test = finalize(raw.take(test_rows), irf_dt_s=dt)
-            score = _train_and_score((train.histograms, train.images),
-                                     (test.histograms, test.images), train_cfg,
-                                     cfg.img_w, cfg.img_h)
-            points.append(SweepPoint(label, score))
-        except SWEEP_ERRORS as exc:  # record and continue with the other points
-            points.append(SweepPoint.failed(label, exc))
-    return points
+    train_rows, test_rows = _split_rows(len(raw), n_test, raw.recipe.sim.seed)
+
+    def score(dt):
+        train = finalize(raw.take(train_rows), irf_dt_s=dt)
+        test = finalize(raw.take(test_rows), irf_dt_s=dt)
+        model, _ = mlp.train((train.histograms, train.images), train_cfg)
+        return _mean_ssim(model, test)
+
+    return _sweep_points(((f"{dt * 1e12:g}ps", dt) for dt in dts), score)
 
 
 def sweep_noise(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
                 levels=(0, 1, 2, 3)) -> list:
     """Fixed training on clean data; noise is applied to the test inputs."""
-    cfg = raw.recipe.sim
-    train_rows, test_rows = _split_rows(len(raw), n_test, cfg.seed)
+    train_rows, test_rows = _split_rows(len(raw), n_test, raw.recipe.sim.seed)
     train = finalize(raw.take(train_rows), noise_level=0)
     model, _ = mlp.train((train.histograms, train.images), train_cfg)
-    points = []
-    for level in levels:
-        label = f"level{level}"
-        try:
-            test = finalize(raw.take(test_rows), noise_level=level)
-            _, overall = evaluate_model(model, test.histograms, test.images,
-                                        cfg.img_w, cfg.img_h)
-            points.append(SweepPoint(label, overall))
-        except SWEEP_ERRORS as exc:
-            points.append(SweepPoint.failed(label, exc))
-    return points
+    return _sweep_points(
+        ((f"level{level}", level) for level in levels),
+        lambda level: _mean_ssim(model, finalize(raw.take(test_rows), noise_level=level)))
 
 
 def sweep_dataset_size(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
                        sizes=DATASET_SIZE_SWEEP) -> list:
     """Retrain on nested subsets of the training pool; shared test set."""
-    cfg = raw.recipe.sim
-    train_rows, test_rows = _split_rows(len(raw), n_test, cfg.seed)
+    train_rows, test_rows = _split_rows(len(raw), n_test, raw.recipe.sim.seed)
     train = finalize(raw.take(train_rows))
     test = finalize(raw.take(test_rows))
-    points = []
-    for size in sizes:
-        label = str(size)
-        try:
-            if size > len(train):
-                raise ValueError(f"requested {size} training pairs, pool has {len(train)}")
-            subset = (train.histograms[:size], train.images[:size])
-            score = _train_and_score(subset, (test.histograms, test.images), train_cfg,
-                                     cfg.img_w, cfg.img_h)
-            points.append(SweepPoint(label, score))
-        except SWEEP_ERRORS as exc:
-            points.append(SweepPoint.failed(label, exc))
-    return points
+
+    def score(size):
+        if size > len(train):
+            raise ValueError(f"requested {size} training pairs, pool has {len(train)}")
+        model, _ = mlp.train((train.histograms[:size], train.images[:size]), train_cfg)
+        return _mean_ssim(model, test)
+
+    return _sweep_points(((str(size), size) for size in sizes), score)
 
 
 def sweep_reflectivity(recipe: DatasetRecipe, train_cfg: mlp.TrainConfig, n_test: int,
@@ -391,23 +387,15 @@ def sweep_reflectivity(recipe: DatasetRecipe, train_cfg: mlp.TrainConfig, n_test
     """
     if training not in ("fixed", "varied"):
         raise ValueError("training must be 'fixed' or 'varied'")
-    cfg = recipe.sim
     train_recipe = recipe if training == "fixed" else replace(
         recipe, reflectivity_range=REFLECTIVITY_TRAIN_RANGE)
-    train_rows, test_rows = _split_rows(recipe.n_scenes, n_test, cfg.seed)
+    train_rows, test_rows = _split_rows(recipe.n_scenes, n_test, recipe.sim.seed)
     train = finalize(simulate_raw(train_recipe, scenes=train_rows))
     model, _ = mlp.train((train.histograms, train.images), train_cfg)
     test_rows = np.sort(test_rows)  # scene order fixes the order the mean SSIM sums in
-    points = []
-    for ratio in ratios:
-        label = f"R{ratio:g}"
-        try:
-            test_recipe = replace(recipe, reflectivity=float(ratio),
-                                  reflectivity_range=None)
-            test = finalize(simulate_raw(test_recipe, scenes=test_rows))
-            _, overall = evaluate_model(model, test.histograms, test.images,
-                                        cfg.img_w, cfg.img_h)
-            points.append(SweepPoint(label, overall))
-        except SWEEP_ERRORS as exc:
-            points.append(SweepPoint.failed(label, exc))
-    return points
+
+    def score(ratio):
+        test_recipe = replace(recipe, reflectivity=float(ratio), reflectivity_range=None)
+        return _mean_ssim(model, finalize(simulate_raw(test_recipe, scenes=test_rows)))
+
+    return _sweep_points(((f"R{ratio:g}", ratio) for ratio in ratios), score)

@@ -71,10 +71,6 @@ class Placement:
     def silhouette_id(self) -> int:
         return self.silhouette.id
 
-    @property
-    def distance_m(self) -> float:
-        return math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
-
     def mirror(self) -> "Placement":
         """The horizontally mirrored counterpart of this placement."""
         return Placement(self.silhouette, -self.x, self.y, self.z,
@@ -98,7 +94,6 @@ class Background:
     wall_depth_m: float = 4.0
     wall_reflectivity: float = 1.0
     objects: list = field(default_factory=list)
-    uniform: bool = False       # True: bare wall, ignore objects
 
     def __post_init__(self):
         if self.wall_depth_m <= 0:
@@ -126,8 +121,9 @@ class DepthImage:
 
     `overlay` is set by `render` when it draws a scene on a given backdrop:
     the scene's `Overlay` on that backdrop, which lists every pixel where
-    this image differs from it. Edit copies of the arrays of such an image,
-    not the arrays themselves: a `DepthImage` built from them has no overlay.
+    this image differs from it. The arrays of such an image are read-only,
+    so the overlay cannot go stale; edit copies of them instead, and a
+    `DepthImage` built from the copies has no overlay.
     """
 
     depth_m: np.ndarray
@@ -172,7 +168,8 @@ def default_background() -> Background:
 
 
 def uniform_background(wall_depth_m: float = 4.0) -> Background:
-    return Background(wall_depth_m=wall_depth_m, uniform=True)
+    """A bare wall: a background with no objects."""
+    return Background(wall_depth_m)
 
 
 def scale_factor(d: float) -> float:
@@ -345,15 +342,14 @@ def render_background(bg: Background, cfg: SimConfig) -> DepthImage:
     v = pixel_offsets(cfg.img_h)
     f = cfg.focal_px
 
-    if not bg.uniform:
-        for box in bg.objects:
-            x_at_z = (u / f) * box.z           # world x of pixel centers at box depth
-            y_at_z = -(v / f) * box.z          # world y (rows grow downward)
-            in_x = np.abs(x_at_z - box.x) <= box.width / 2.0
-            in_y = np.abs(y_at_z - box.y) <= box.height / 2.0
-            hit = np.outer(in_y, in_x) & (box.z < depth)
-            depth[hit] = box.z
-            refl[hit] = box.reflectivity
+    for box in bg.objects:
+        x_at_z = (u / f) * box.z           # world x of pixel centers at box depth
+        y_at_z = -(v / f) * box.z          # world y (rows grow downward)
+        in_x = np.abs(x_at_z - box.x) <= box.width / 2.0
+        in_y = np.abs(y_at_z - box.y) <= box.height / 2.0
+        hit = np.outer(in_y, in_x) & (box.z < depth)
+        depth[hit] = box.z
+        refl[hit] = box.reflectivity
     return DepthImage(depth_m=depth, reflectance=refl)
 
 
@@ -374,11 +370,12 @@ class Overlay:
     reflectance: np.ndarray     # (k,) float64
 
     def image(self) -> DepthImage:
-        """The whole render: a copy of the backdrop with the changed pixels
-        replaced, carrying this overlay."""
+        """The whole render: a read-only copy of the backdrop with the changed
+        pixels replaced, carrying this overlay."""
         depth, refl = self.backdrop.depth_m.copy(), self.backdrop.reflectance.copy()
         depth.put(self.pixels, self.depth_m)
         refl.put(self.pixels, self.reflectance)
+        depth.flags.writeable = refl.flags.writeable = False
         return DepthImage(depth_m=depth, reflectance=refl, overlay=self)
 
 

@@ -190,8 +190,9 @@ def export_depth_pgm(img: np.ndarray, path) -> None:
     arr = np.asarray(img, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D normalized image")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError("image must be normalized to [0, 1]")
+    # min and max propagate NaN, so a nonfinite pixel fails this check too
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise ValueError("image must be finite and normalized to [0, 1]")
     values = np.round(arr * 65535.0).astype(">u2")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode("ascii")
     write_atomic(path, [header + values.tobytes()])
@@ -241,7 +242,9 @@ def read_pgm(path) -> np.ndarray:
 def load_silhouette_mask(path) -> np.ndarray:
     """Binarize an 8-bit graymap at 128 (>= 128 means figure)."""
     raw = read_pgm(path)
-    return np.asarray(raw, dtype=np.uint16) >= 128
+    if raw.dtype != np.uint8:
+        raise StoreError(f"{path}: graymap is 16-bit; silhouettes must be 8-bit")
+    return raw >= 128
 
 
 def write_csv(path, header: str, rows) -> None:

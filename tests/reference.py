@@ -165,13 +165,12 @@ def serial_render(sc, cfg):
     u = scene.pixel_offsets(cfg.img_w)
     v = scene.pixel_offsets(cfg.img_h)
     f = cfg.focal_px
-    if not bg.uniform:
-        for box in bg.objects:
-            in_x = np.abs((u / f) * box.z - box.x) <= box.width / 2.0
-            in_y = np.abs(-(v / f) * box.z - box.y) <= box.height / 2.0
-            hit = np.outer(in_y, in_x) & (box.z < depth)
-            depth[hit] = box.z
-            refl[hit] = box.reflectivity
+    for box in bg.objects:
+        in_x = np.abs((u / f) * box.z - box.x) <= box.width / 2.0
+        in_y = np.abs(-(v / f) * box.z - box.y) <= box.height / 2.0
+        hit = np.outer(in_y, in_x) & (box.z < depth)
+        depth[hit] = box.z
+        refl[hit] = box.reflectivity
     for p in sc.placements:
         if not (cfg.z_min <= p.z <= cfg.z_max):
             raise ValueError(f"placement depth {p.z} m outside configured range")

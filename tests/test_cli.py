@@ -267,6 +267,14 @@ def test_config_rejects_misspelled_keys(tmp_path, capsys):
     assert "'epoch'" in capsys.readouterr().err
 
 
+def test_gen_rejects_an_empty_augmentation_grid(tmp_path, capsys):
+    config = tmp_path / "empty.cfg"
+    config.write_text(TINY_CONFIG.replace("depth_steps = 3", "depth_steps = 0"))
+    assert run(["gen", "--out", tmp_path / "g", "--config", config]) == 1
+    assert "depth_steps" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 def test_gen_and_train_manifests_feed_every_command(tmp_path, tiny_config):
     data = tmp_path / "data"
     assert run(["gen", "--out", data, "--config", tiny_config]) == 0

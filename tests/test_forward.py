@@ -349,6 +349,17 @@ def test_histogram_csv_rejects_uneven_bins(tmp_path):
         forward.read_histogram_csv(path)
 
 
+@pytest.mark.parametrize("row", ["1e-11,2,3", "abc,1", "1e-11", "1e-11;2"])
+def test_histogram_csv_bad_row_names_its_line(tmp_path, row):
+    path = tmp_path / "hist.csv"
+    forward.write_histogram_csv(bump_histogram(bins=8), path)
+    lines = path.read_text().splitlines()
+    lines[4] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 5: .*{row!r}"):
+        forward.read_histogram_csv(path)
+
+
 def test_histogram_csv_offset_start_reads_back(tmp_path):
     # a late first bin: the spacing check must not trip on rounding of t0
     h = forward.Histogram(1.25e-12, bump_histogram(bins=8000).counts, t0_s=1e-6)

@@ -20,6 +20,13 @@ def test_recipe_scene_counts():
     assert pipeline.paper_recipe().sim.bins == 8000
 
 
+@pytest.mark.parametrize("field", ["n_silhouettes", "depth_steps", "lateral_steps"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_recipe_rejects_an_empty_augmentation_grid(tiny_recipe, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+        replace(tiny_recipe, **{field: value})
+
+
 def test_simulate_raw_deterministic(tiny_recipe):
     a = pipeline.simulate_raw(tiny_recipe)
     b = pipeline.simulate_raw(tiny_recipe)

@@ -228,7 +228,7 @@ def test_overlay_is_the_whole_frame_diff(drawn, data):
 
 def test_image_drawn_on_another_backdrop_is_compared_whole():
     # the image keeps its overlay on a bare wall; against the returns of the
-    # boxed background the histogram must diff the frames, not trust it
+    # boxed background the histogram must compute the whole image, not trust it
     cfg = SimConfig(img_w=24, img_h=16, bins=400)
     sc = scene.Scene(scene.uniform_background(),
                      [scene.Placement(SILHOUETTES[1], x=0.2, z=2.0),
@@ -238,6 +238,17 @@ def test_image_drawn_on_another_backdrop_is_compared_whole():
     assert img.overlay.pixels.size
     h = forward.simulate_histogram(img, cfg, forward.backdrop_returns(other, cfg))
     assert h.counts.tobytes() == lexsort_histogram(serial_render(sc, cfg), cfg).tobytes()
+
+
+def test_rendered_image_is_read_only():
+    # a write into a render would leave its overlay, and so its cached
+    # histogram, silently stale
+    sc = scene.Scene(scene.default_background(), [scene.Placement(SILHOUETTES[0], z=2.0)])
+    img = scene.render(sc, CFG)
+    for values in (img.depth_m, img.reflectance):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 1.2
+    assert img.depth_m.tobytes() == serial_render(sc, CFG).depth_m.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Property tests of the simulated histograms.
 
-The cached-backdrop histogram must be byte-equal to the whole-scene oracle in
-`reference.py` for any scene, and `simulate_raw` rows must conserve photons
+The cached-backdrop histogram of a render must be byte-equal to the
+whole-scene oracle in `reference.py` for any scene, any other image with a
+backdrop must match it too, and `simulate_raw` rows must conserve photons
 and keep mirrored scenes indistinguishable over a uniform wall.
 """
 
@@ -66,8 +67,9 @@ def test_cached_backdrop_histogram_matches_whole_scene_oracle(drawn):
                       max_size=40))
 def test_cached_backdrop_histogram_matches_oracle_for_any_edit(cfg, background, data,
                                                                 edits):
-    # simulate_histogram must see a pixel whose reflectance alone changed, and
-    # one that stopped returning, not only the ones a placement brings closer
+    # an image that render did not draw on this backdrop is computed whole,
+    # so a pixel whose reflectance alone changed, and one that stopped
+    # returning, count as well as the ones a placement brings closer
     backdrop = scene.render_background(background, cfg)
     depth, refl = backdrop.depth_m.copy(), backdrop.reflectance.copy()
     for pixel, kind in edits:
@@ -128,8 +130,8 @@ def test_simulate_raw_mirror_rows_identical_over_uniform_wall(recipe):
 
 
 def test_backdrop_return_past_the_span_raises_only_when_seen():
-    # one backdrop pixel lies beyond the span; a scene that covers it still
-    # simulates, one that shows it raises
+    # one backdrop pixel lies beyond the span, so the cached returns hold
+    # none; an image that covers it still simulates, one that shows it raises
     cfg = SimConfig(img_w=8, img_h=8, bins=64)
     depth = np.full((8, 8), 3.0)
     depth[0, 0] = 6.0

@@ -271,6 +271,24 @@ def test_silhouette_mask_threshold(tmp_path):
     assert mask.tolist() == [[False, False], [True, True]]
 
 
+def test_silhouette_mask_rejects_16_bit_graymap(tmp_path):
+    # a near-black 200 of 65535 must not pass the 8-bit threshold as figure
+    raw = np.array([[0, 200], [40000, 65535]], dtype=">u2")
+    path = tmp_path / "deep.pgm"
+    path.write_bytes(b"P5\n2 2\n65535\n" + raw.tobytes())
+    with pytest.raises(store.StoreError, match="16-bit; silhouettes must be 8-bit"):
+        store.load_silhouette_mask(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_depth_pgm_rejects_nonfinite_pixels(tmp_path, bad):
+    img = np.full((4, 4), 0.5)
+    img[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        store.export_depth_pgm(img, tmp_path / "bad.pgm")
+    assert not (tmp_path / "bad.pgm").exists()
+
+
 def test_read_pgm_rejects_garbage(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
