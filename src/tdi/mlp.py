@@ -318,6 +318,37 @@ def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
     return model, state
 
 
+def _pack_columns(w: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Move the `live` columns of w, in order, to the front of its own buffer.
+
+    Returns the (rows, len(live)) C-contiguous view that holds them; the
+    rest of the buffer is left stale until _unpack_columns. Row blocks go in
+    ascending order, each through a block-sized copy: a block's packed rows
+    end before its first unread row starts, so no row is overwritten before
+    it is read.
+    """
+    rows, width = w.shape
+    flat = w.reshape(-1)
+    bounds = _row_bounds(rows, width)
+    for r0, r1 in zip(bounds, bounds[1:]):
+        flat[r0 * live.size: r1 * live.size] = w[r0:r1].take(live, axis=1).reshape(-1)
+    return flat[: rows * live.size].reshape(rows, live.size)
+
+
+def _unpack_columns(w: np.ndarray, packed: np.ndarray, live: np.ndarray,
+                    dead: np.ndarray, saved: np.ndarray) -> None:
+    """Undo _pack_columns: `packed` back into w's live columns, `saved` into its dead ones.
+
+    Row blocks go in descending order, each through a block-sized copy, so
+    a block's full rows overwrite only packed rows already copied out.
+    """
+    bounds = _row_bounds(w.shape[0], w.shape[1])
+    for r0, r1 in reversed(list(zip(bounds, bounds[1:]))):
+        block = packed[r0:r1].copy()
+        w[r0:r1, live] = block
+        w[r0:r1, dead] = saved[r0:r1]
+
+
 def train(dataset, config: TrainConfig, model: MlpModel | None = None,
           hidden_dims=DEFAULT_HIDDEN) -> tuple[MlpModel, TrainHistory]:
     """Train on (X, Y) pairs of normalized vectors; returns model + history.
@@ -328,6 +359,18 @@ def train(dataset, config: TrainConfig, model: MlpModel | None = None,
     epochs * ceil(n_train / batch_size) Adam steps. Besides the data, it
     holds the model and the two Adam moments: each step hands adam_step the
     batch-sized factors of the weight gradients, not the gradients.
+
+    Only the live input columns, those nonzero in some train or validation
+    row, are trained. A dead column's gradient is zero at every step, so
+    Adam would leave its weights as they are. Instead, once per call, the
+    dead columns of the first weight are copied aside and the live ones
+    packed to the front of its own buffer; that compact weight is trained
+    with compact moments, and each batch gathers the same columns of its
+    rows. When training ends or raises, both go back into their columns,
+    so the model keeps its full width and its dead columns their bytes.
+    Besides the data, training then holds three parameter sets less the
+    dead columns' share of the first weight; with no dead column, the model
+    is trained as it is. The returned model is `model` (or the new one).
     """
     x, y = dataset
     x = np.asarray(x)
@@ -359,22 +402,37 @@ def train(dataset, config: TrainConfig, model: MlpModel | None = None,
     val_idx = perm[x.shape[0] - n_val:]
     train_idx = perm[: x.shape[0] - n_val]
 
-    state = AdamState.zeros_like(model)
+    lit = np.any(x, axis=0)
+    live, dead = np.flatnonzero(lit), np.flatnonzero(~lit)
+    first = model.weights[0]
+    if not dead.size:
+        compact, inputs = model, x.__getitem__
+    else:
+        saved = first.take(dead, axis=1)
+        compact = MlpModel([_pack_columns(first, live), *model.weights[1:]], model.biases)
+
+        def inputs(rows):
+            return x[rows].take(live, axis=1)
     train_hist = np.zeros(config.epochs)
     val_hist = np.full(config.epochs, np.nan)
     t = 0
-    for epoch in range(config.epochs):
-        order = train_idx[rng.permutation(train_idx.size)]
-        seen = 0.0
-        for start in range(0, order.size, config.batch_size):
-            batch = order[start: start + config.batch_size]
-            loss, grads = _backward(model, x[batch], y[batch])
-            t += 1
-            adam_step(model, grads, state, t, config)
-            seen += loss * batch.size
-        train_hist[epoch] = seen / order.size
-        if n_val:
-            val_hist[epoch] = mse_loss(forward(model, x[val_idx]), y[val_idx])
+    try:
+        state = AdamState.zeros_like(compact)
+        for epoch in range(config.epochs):
+            order = train_idx[rng.permutation(train_idx.size)]
+            seen = 0.0
+            for start in range(0, order.size, config.batch_size):
+                batch = order[start: start + config.batch_size]
+                loss, grads = _backward(compact, inputs(batch), y[batch])
+                t += 1
+                adam_step(compact, grads, state, t, config)
+                seen += loss * batch.size
+            train_hist[epoch] = seen / order.size
+            if n_val:
+                val_hist[epoch] = mse_loss(forward(compact, inputs(val_idx)), y[val_idx])
+    finally:
+        if dead.size:
+            _unpack_columns(first, compact.weights[0], live, dead, saved)
     return model, TrainHistory(train_loss=train_hist, val_loss=val_hist)
 
 

@@ -325,16 +325,12 @@ def placement_rect(p: Placement, cfg: SimConfig):
     return r0, cfg.img_w - c0 - sub.shape[1], sub[:, ::-1]
 
 
-def placement_footprint(p: Placement, cfg: SimConfig) -> np.ndarray:
-    """Boolean (H, W) footprint of a placement: its rectangle in a blank frame."""
-    r0, c0, sub = placement_rect(p, cfg)
-    fp = np.zeros((cfg.img_h, cfg.img_w), dtype=bool)
-    fp[r0: r0 + sub.shape[0], c0: c0 + sub.shape[1]] = sub
-    return fp
-
-
 def render_background(bg: Background, cfg: SimConfig) -> DepthImage:
-    """The background alone: the wall fills the frame, closer boxes overwrite it."""
+    """The background alone: the wall fills the frame, closer boxes overwrite it.
+
+    Its arrays are read-only, as a render's are: `forward.backdrop_returns`
+    caches returns computed from them, which a later write would leave stale.
+    """
     depth = np.full((cfg.img_h, cfg.img_w), bg.wall_depth_m, dtype=np.float64)
     refl = np.full((cfg.img_h, cfg.img_w), bg.wall_reflectivity, dtype=np.float64)
 
@@ -350,6 +346,7 @@ def render_background(bg: Background, cfg: SimConfig) -> DepthImage:
         hit = np.outer(in_y, in_x) & (box.z < depth)
         depth[hit] = box.z
         refl[hit] = box.reflectivity
+    depth.flags.writeable = refl.flags.writeable = False
     return DepthImage(depth_m=depth, reflectance=refl)
 
 

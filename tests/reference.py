@@ -95,26 +95,36 @@ def scaled_adam(params, grads_per_step, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-
     return params
 
 
-def reference_train(x, y, config, model):
+def reference_train(x, y, config, model, losses=None):
     """mlp.train's batch schedule, one fresh gradients() list and adam_step per batch.
 
     Same seeded permutation, validation tail and per-epoch reshuffle as
-    mlp.train; returns the trained model (updated in place).
+    mlp.train, over every input column; returns the trained model (updated
+    in place). When `losses` is a dict, its "train" and "val" lists get, per
+    epoch, the mean loss of the batches, each scored before its step, and
+    the validation loss after the epoch.
     """
     from tdi import mlp
 
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(x.shape[0])
     n_val = min(int(round(config.validation_fraction * x.shape[0])), x.shape[0] - 1)
-    train_idx = perm[: x.shape[0] - n_val]
+    train_idx, val_idx = perm[: x.shape[0] - n_val], perm[x.shape[0] - n_val:]
     state = mlp.AdamState.zeros_like(model)
     t = 0
     for _ in range(config.epochs):
         order = train_idx[rng.permutation(train_idx.size)]
+        seen = 0.0
         for start in range(0, order.size, config.batch_size):
             batch = order[start: start + config.batch_size]
+            if losses is not None:
+                seen += mlp.mse_loss(mlp.forward(model, x[batch]), y[batch]) * batch.size
             t += 1
             mlp.adam_step(model, mlp.gradients(model, x[batch], y[batch]), state, t, config)
+        if losses is not None:
+            losses.setdefault("train", []).append(seen / order.size)
+            losses.setdefault("val", []).append(
+                mlp.mse_loss(mlp.forward(model, x[val_idx]), y[val_idx]))
     return model
 
 
@@ -153,6 +163,16 @@ def sum_expected_photons(img, cfg) -> float:
     return math.fsum(total)
 
 
+def placement_footprint(p, cfg) -> np.ndarray:
+    """Boolean (H, W) footprint of a placement: its rectangle in a blank frame."""
+    from tdi import scene
+
+    r0, c0, sub = scene.placement_rect(p, cfg)
+    fp = np.zeros((cfg.img_h, cfg.img_w), dtype=bool)
+    fp[r0: r0 + sub.shape[0], c0: c0 + sub.shape[1]] = sub
+    return fp
+
+
 def serial_render(sc, cfg):
     """Whole-scene render as one pass: wall, every box, then every placement."""
     from tdi import scene
@@ -174,7 +194,7 @@ def serial_render(sc, cfg):
     for p in sc.placements:
         if not (cfg.z_min <= p.z <= cfg.z_max):
             raise ValueError(f"placement depth {p.z} m outside configured range")
-        hit = scene.placement_footprint(p, cfg) & (p.z < depth)
+        hit = placement_footprint(p, cfg) & (p.z < depth)
         depth[hit] = p.z
         refl[hit] = p.reflectivity
     return scene.DepthImage(depth_m=depth, reflectance=refl)

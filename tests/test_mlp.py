@@ -471,6 +471,127 @@ def test_train_peak_memory_is_three_parameter_sets(traced_peak):
     assert peak < 3 * param_bytes + 4 * mlp.MATMUL_BLOCK + x.nbytes + y.nbytes
 
 
+# Skipping exact zeros regroups the first-layer sums, so training with dead
+# columns differs from full-width training in the last bits. Adam scales
+# each step to about the learning rate, so rounding noise in a gradient near
+# zero can change one element's step by up to that; the parameters stay
+# within one learning rate of full-width training (worst measured 4.8e-5,
+# one element, over some 4000 draws) and the losses within 1e-4 relative
+# (worst measured 5.8e-6).
+LOSS_RTOL = 1e-4
+
+
+def dead_column_task(seed, dead_share, n_in=300):
+    """toy_task in float32 with each input column zero in every row with
+    probability dead_share; returns x, y and the dead-column mask."""
+    x, y = toy_task(n=96, n_in=n_in, seed=seed)
+    dead = np.random.default_rng(seed).random(n_in) < dead_share
+    x[:, dead] = 0.0
+    return x.astype(np.float32), y.astype(np.float32), dead
+
+
+@given(seed=st.integers(0, 2 ** 16), dead_share=st.floats(0.0, 1.0),
+       batch=st.integers(4, 40))
+@example(seed=0, dead_share=0.0, batch=16)        # every column live
+@example(seed=1, dead_share=0.4, batch=16)
+@example(seed=4955, dead_share=0.3203125, batch=14)   # the 4.8e-5 element
+@example(seed=2, dead_share=1.0, batch=16)        # every column dead
+def test_train_with_dead_columns_tracks_full_width_training(seed, dead_share, batch):
+    x, y, dead = dead_column_task(seed, dead_share)
+    init = mlp.init_model([x.shape[1], 32, y.shape[1]], seed=seed)
+    cfg = mlp.TrainConfig(epochs=3, batch_size=batch, seed=seed)
+    losses = {}
+    want = reference_train(x, y, cfg, init.copy(), losses)
+    model = init.copy()
+    got, hist = mlp.train((x, y), cfg, model=model)
+    assert got is model
+    # a dead column's gradient is zero at every step: its weights keep their bytes
+    assert got.weights[0][:, dead].tobytes() == init.weights[0][:, dead].tobytes()
+    pairs = list(zip(got.weights + got.biases, want.weights + want.biases))
+    if not dead.any():
+        assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+    assert max(float(np.max(np.abs(a - b))) for a, b in pairs) < cfg.learning_rate
+    np.testing.assert_allclose(hist.train_loss, losses["train"], rtol=LOSS_RTOL)
+    np.testing.assert_allclose(hist.val_loss, losses["val"], rtol=LOSS_RTOL)
+
+
+@pytest.mark.parametrize("stride", [4, 2, 1])
+def test_train_peak_memory_with_dead_columns_is_below_three_parameter_sets(traced_peak,
+                                                                             stride):
+    # as test_train_peak_memory_is_three_parameter_sets, with every stride-th
+    # input column dead (a quarter, half, all): their moments go and a copy
+    # of their weights comes in, so the bound sits below that test's by the
+    # dead columns' bytes, however few of them there are
+    dims = [4096, 512, 64]
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 1, (128, dims[0])).astype(np.float32)
+    y = rng.uniform(0, 1, (128, dims[-1])).astype(np.float32)
+    x[:, ::stride] = 0.0
+    param_bytes = 4 * sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+    dead_bytes = 4 * dims[1] * (dims[0] // stride)
+    cfg = mlp.TrainConfig(epochs=2, batch_size=32, seed=0)
+    peak = traced_peak(lambda: mlp.train((x, y), cfg, hidden_dims=dims[1:-1]))
+    assert peak < 3 * param_bytes - dead_bytes + 4 * mlp.MATMUL_BLOCK + x.nbytes + y.nbytes
+
+
+@given(rows=st.integers(1, 160), width=st.integers(1, 5000), live_share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 16))
+@example(rows=150, width=4101, live_share=0.5, seed=0)     # three row blocks
+@example(rows=1, width=3, live_share=0.0, seed=1)
+def test_packed_columns_unpack_into_place(rows, width, live_share, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((rows, width)).astype(np.float32)
+    before = w.copy()
+    lit = rng.random(width) < live_share
+    live, dead = np.flatnonzero(lit), np.flatnonzero(~lit)
+    saved = w.take(dead, axis=1)
+    packed = mlp._pack_columns(w, live)
+    assert packed.flags.c_contiguous and (np.shares_memory(packed, w) or not live.size)
+    assert packed.tobytes() == before[:, live].tobytes()
+    packed += 1.0                                  # as training moves them
+    mlp._unpack_columns(w, packed, live, dead, saved)
+    assert w[:, live].tobytes() == (before[:, live] + 1.0).tobytes()
+    assert w[:, dead].tobytes() == before[:, dead].tobytes()
+
+
+def test_train_on_all_zero_inputs_keeps_the_first_weight():
+    rng = np.random.default_rng(5)
+    x = np.zeros((64, 20), dtype=np.float32)
+    y = rng.uniform(0, 1, (64, 4)).astype(np.float32)
+    init = mlp.init_model([20, 8, 4], seed=3)
+    model, hist = mlp.train((x, y), mlp.TrainConfig(epochs=3, batch_size=16, seed=1),
+                            model=init.copy())
+    assert model.weights[0].tobytes() == init.weights[0].tobytes()
+    assert np.isfinite(hist.train_loss).all() and np.isfinite(hist.val_loss).all()
+    assert hist.train_loss[-1] < hist.train_loss[0]     # the biases and later layers learn
+    assert not np.array_equal(model.biases[0], init.biases[0])
+
+
+def test_train_diverging_with_dead_columns_writes_back_the_trained_columns(monkeypatch):
+    x, y, dead = dead_column_task(seed=4, dead_share=0.5)
+    init = mlp.init_model([x.shape[1], 32, y.shape[1]], seed=4)
+    trained = []
+    adam_step = mlp.adam_step
+
+    def poisoned(compact, grads, state, t, config):
+        # a nonfinite factor raises before any parameter changes
+        trained[:] = [compact.weights[0].copy()]
+        if t == 3:                              # after two good steps
+            delta, act = grads[0]
+            grads[0] = (np.full_like(delta, np.nan), act)
+        return adam_step(compact, grads, state, t, config)
+
+    monkeypatch.setattr(mlp, "adam_step", poisoned)
+    model = init.copy()
+    with pytest.raises(mlp.TrainingDivergedError, match="at step 3"):
+        mlp.train((x, y), mlp.TrainConfig(epochs=2, batch_size=16, seed=4), model=model)
+    first = model.weights[0]
+    assert trained[0].shape == (32, int((~dead).sum()))
+    assert first[:, ~dead].tobytes() == trained[0].tobytes()
+    assert not np.array_equal(first[:, ~dead], init.weights[0][:, ~dead])
+    assert first[:, dead].tobytes() == init.weights[0][:, dead].tobytes()
+
+
 def test_train_rejects_bad_datasets():
     x, y = toy_task(n=32)
     with pytest.raises(ValueError):

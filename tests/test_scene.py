@@ -4,7 +4,7 @@ import scipy.ndimage
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import lexsort_histogram, serial_render
+from reference import lexsort_histogram, placement_footprint, serial_render
 from test_simulate_properties import SILHOUETTES, scenes
 from tdi import forward, scene
 from tdi.config import SimConfig
@@ -100,7 +100,7 @@ def test_render_occlusion_rule():
     sil = scene.generate_silhouettes(1, seed=2)[0]
     placement = scene.Placement(sil, z=2.0, reflectivity=1.5)
     img = scene.render(scene.Scene(scene.uniform_background(4.0), [placement]), CFG)
-    footprint = scene.placement_footprint(placement, CFG)
+    footprint = placement_footprint(placement, CFG)
     assert footprint.any()
     assert np.all(img.depth_m[footprint] == 2.0)
     assert np.all(img.depth_m[~footprint] == 4.0)
@@ -122,8 +122,8 @@ def test_render_nearest_surface_wins_any_order():
 def test_render_footprint_scaling_law():
     # footprint area should follow (2/d)^2 within rasterization error
     for sil in scene.generate_silhouettes(3, seed=7):
-        c2 = scene.placement_footprint(scene.Placement(sil, z=2.0), CFG).sum()
-        c4 = scene.placement_footprint(scene.Placement(sil, z=4.0), CFG).sum()
+        c2 = placement_footprint(scene.Placement(sil, z=2.0), CFG).sum()
+        c4 = placement_footprint(scene.Placement(sil, z=4.0), CFG).sum()
         ratio = c2 / c4
         assert abs(ratio - 4.0) <= 0.4, f"sil {sil.id}: ratio {ratio}"
 
@@ -131,8 +131,8 @@ def test_render_footprint_scaling_law():
 def test_render_scaling_uses_3d_distance():
     # an off-axis placement is farther away than its depth alone implies
     sil = scene.generate_silhouettes(1, seed=9)[0]
-    on_axis = scene.placement_footprint(scene.Placement(sil, x=0.0, z=3.0), CFG).sum()
-    off_axis = scene.placement_footprint(scene.Placement(sil, x=1.4, z=3.0), CFG).sum()
+    on_axis = placement_footprint(scene.Placement(sil, x=0.0, z=3.0), CFG).sum()
+    off_axis = placement_footprint(scene.Placement(sil, x=1.4, z=3.0), CFG).sum()
     assert 0 < off_axis < on_axis
 
 
@@ -196,7 +196,7 @@ def hidden_placement():
 
 def test_placement_behind_a_closer_box_changes_nothing():
     sc = scene.Scene(scene.default_background(), [hidden_placement()])
-    assert scene.placement_footprint(sc.placements[0], CFG).any()
+    assert placement_footprint(sc.placements[0], CFG).any()
     backdrop = scene.render_background(sc.background, CFG)
     assert scene.overlay(sc, CFG, backdrop).pixels.size == 0
 
@@ -249,6 +249,15 @@ def test_rendered_image_is_read_only():
         with pytest.raises(ValueError, match="read-only"):
             values[0, 0] = 1.2
     assert img.depth_m.tobytes() == serial_render(sc, CFG).depth_m.tobytes()
+
+
+def test_background_render_is_read_only():
+    # backdrop_returns caches returns computed from this render, so a write
+    # into it would leave every histogram merged onto it silently stale
+    backdrop = scene.render_background(scene.default_background(), CFG)
+    for values in (backdrop.depth_m, backdrop.reflectance):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 1.2
 
 
 # ---------------------------------------------------------------------------

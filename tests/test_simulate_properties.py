@@ -2,15 +2,17 @@
 
 The cached-backdrop histogram of a render must be byte-equal to the
 whole-scene oracle in `reference.py` for any scene, any other image with a
-backdrop must match it too, and `simulate_raw` rows must conserve photons
-and keep mirrored scenes indistinguishable over a uniform wall.
+backdrop must match it too, `simulate_raw` rows must conserve photons
+and keep mirrored scenes indistinguishable over a uniform wall, and
+`finalize` of any rows must give those rows of the whole finalized set.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reference import lexsort_histogram, serial_render, sum_expected_photons
@@ -127,6 +129,29 @@ def test_simulate_raw_mirror_rows_identical_over_uniform_wall(recipe):
         assert raw.counts[a].tobytes() == raw.counts[b].tobytes()
         flipped = np.fliplr(raw.images[a].reshape(h, w))
         assert raw.images[b].tobytes() == np.ascontiguousarray(flipped).tobytes()
+
+
+# 48 desk-lit 16x16 scenes of two silhouettes
+TINY = pipeline.DatasetRecipe(sim=pipeline.desk_sim(seed=5).with_(img_w=16, img_h=16, bins=400),
+                              n_silhouettes=2, depth_steps=3, lateral_steps=4)
+
+
+@given(recipe=recipes(), irf=st.booleans(), noise=st.integers(0, 3),
+       picks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=8),
+       cores=st.integers(1, 3))
+@example(recipe=TINY, irf=True, noise=2, picks=[30, 2, 17], cores=1)
+def test_finalize_of_any_rows_is_those_rows_of_the_whole(recipe, irf, noise, picks, cores):
+    # rows in any order, repeats allowed, split across 1 to 3 threads: each
+    # row's IRF and noise depend on its scene alone, not on where it sits
+    raw = pipeline.simulate_raw(recipe)
+    rows = np.array([pick % len(raw) for pick in picks])
+    dt = 250e-12 if irf else 0.0
+    with mock.patch.object(pipeline, "_THREADED_MIN_BINS", 0), \
+            mock.patch.object(pipeline, "_usable_cores", lambda: cores):
+        whole = pipeline.finalize(raw, irf_dt_s=dt, noise_level=noise)
+        part = pipeline.finalize(raw.take(rows), irf_dt_s=dt, noise_level=noise)
+    assert part.histograms.tobytes() == whole.histograms[rows].tobytes()
+    assert part.images.tobytes() == whole.images[rows].tobytes()
 
 
 def test_backdrop_return_past_the_span_raises_only_when_seen():
