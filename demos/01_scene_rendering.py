@@ -32,7 +32,7 @@ for z in (1.5, 2.0, 3.0, 3.8):
     print(f"z = {z:.1f} m: silhouette covers {footprint:4d} pixels -> {path}")
 
 # A mirrored placement renders as the exact horizontal flip.
-sc = scene.Scene(scene.uniform_background(),
+sc = scene.Scene(scene.Background(),
                  [scene.Placement(silhouettes[1], x=0.6, z=2.0)])
 store.export_depth_pgm(scene.render(sc, cfg).depth_m / cfg.z_max,
                        out_dir / "plain.pgm")

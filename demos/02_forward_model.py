@@ -38,7 +38,7 @@ print(f"after a 250 ps IRF the peak drops from {ideal.counts.max():.1f} "
       f"to {blurred.counts.max():.1f} (energy spreads, total is conserved: "
       f"{blurred.counts.sum():.1f})")
 
-noisy = forward.add_noise(blurred, forward.NoiseSpec.from_level(2), seed=0)
+noisy = forward.add_noise(blurred, 2, seed=0)
 print(f"noise level 2 perturbs the bins by about 10% of the mean occupied bin")
 
 for name, h in (("ideal", ideal), ("blurred", blurred), ("noisy", noisy)):

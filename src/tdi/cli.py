@@ -17,10 +17,14 @@ import numpy as np
 
 from . import __version__, forward, metrics, mlp, pipeline, store
 from .atomic import write_atomic
-from .config import (SETTINGS, SWEEP_DEFAULTS, format_setting, owned, parse_range,
-                     read_settings)
+from .config import (NOISE_FRACTIONS, REFLECTIVITY_TRAININGS, SETTINGS, SWEEP_DEFAULTS,
+                     format_setting, owned, parse_range, read_settings)
 
 _PRESETS = {"desk": pipeline.desk_recipe, "paper": pipeline.paper_recipe}
+# Each sweep kind and the pipeline function that runs it.
+_SWEEPS = {"irf": pipeline.sweep_irf, "noise": pipeline.sweep_noise,
+           "dataset-size": pipeline.sweep_dataset_size,
+           "reflectivity": pipeline.sweep_reflectivity}
 
 RESOLVE_DISTANCES_M = (2.0, 4.0, 10.0, 20.0)
 RESOLVE_TIMINGS_S = (2.3e-12, 25e-12, 250e-12, 670e-12, 1000e-12)
@@ -104,7 +108,6 @@ def cmd_eval(args) -> int:
     store.write_csv(os.path.join(args.out, "ssim.csv"), "pair,mean_ssim", rows)
 
     preds = np.clip(mlp.forward(model, x[: args.gallery]), 0.0, 1.0)
-    preds = np.atleast_2d(preds)
     for i in range(min(args.gallery, len(ds))):
         pred = preds[i].reshape(ds.img_h, ds.img_w).astype(np.float64)
         truth = y[i].reshape(ds.img_h, ds.img_w).astype(np.float64)
@@ -137,20 +140,11 @@ def cmd_sweep(args) -> int:
     tc = mlp.TrainConfig(**owned(settings, "train"))
     sweep = {**SWEEP_DEFAULTS, **owned(settings, "sweep")}
     os.makedirs(args.out, exist_ok=True)
-    n_test = sweep["n_test"]
-
-    if args.kind == "reflectivity":
-        points = pipeline.sweep_reflectivity(recipe, tc, n_test,
-                                             training=sweep["reflectivity_training"])
+    run, n_test = _SWEEPS[args.kind], sweep["n_test"]
+    if args.kind == "reflectivity":   # simulates only the scenes it trains on or scores
+        points = run(recipe, tc, n_test, training=sweep["reflectivity_training"])
     else:
-        raw = pipeline.simulate_raw(recipe)
-        if args.kind == "irf":
-            points = pipeline.sweep_irf(raw, tc, n_test)
-        elif args.kind == "noise":
-            points = pipeline.sweep_noise(raw, tc, n_test)
-        else:
-            points = pipeline.sweep_dataset_size(raw, tc, n_test)
-
+        points = run(pipeline.simulate_raw(recipe), tc, n_test)
     rows = []
     for p in points:
         if p.mean_ssim is None:
@@ -200,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                    type=parse_range, help="per-scene log-uniform silhouette reflectivity")
     p.add_argument("--irf", dest="irf_dt_s", type=float,
                    help="Gaussian IRF 1/e half-width [s]")
-    p.add_argument("--noise", dest="noise_level", type=int, choices=(0, 1, 2, 3))
+    p.add_argument("--noise", dest="noise_level", type=int, choices=range(len(NOISE_FRACTIONS)))
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train the inverse model on a dataset")
@@ -227,14 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("sweep", help="run one of the study sweeps")
-    p.add_argument("--kind", required=True,
-                   choices=("irf", "noise", "dataset-size", "reflectivity"))
+    p.add_argument("--kind", required=True, choices=tuple(_SWEEPS))
     common(p)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", dest="batch_size", type=int)
     p.add_argument("--n-test", dest="n_test", type=int)
     p.add_argument("--reflectivity-training", dest="reflectivity_training",
-                   choices=("fixed", "varied"))
+                   choices=REFLECTIVITY_TRAININGS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("resolve", help="print the resolution model table")

@@ -26,6 +26,8 @@ IRF_SWEEP_S = (2.3e-12, 25e-12, 250e-12, 1000e-12)
 DATASET_SIZE_SWEEP = (500, 1000, 2000, 4000)
 REFLECTIVITY_SWEEP = (0.5, 1.0, 1.5, 2.0)
 REFLECTIVITY_TRAIN_RANGE = (0.25, 4.0)
+# How the reflectivity sweep trains: at R = 1, or over REFLECTIVITY_TRAIN_RANGE.
+REFLECTIVITY_TRAININGS = ("fixed", "varied")
 
 TIME_CONVENTIONS = ("round_trip", "one_way")
 
@@ -122,8 +124,8 @@ def parse_range(text: str) -> tuple:
 
 def parse_training(text: str) -> str:
     """How the reflectivity sweep trains: `fixed` or `varied`."""
-    if text not in ("fixed", "varied"):
-        raise ValueError("expected fixed or varied")
+    if text not in REFLECTIVITY_TRAININGS:
+        raise ValueError("expected " + " or ".join(REFLECTIVITY_TRAININGS))
     return text
 
 

@@ -50,43 +50,6 @@ class Histogram:
         return self.t0_s + np.arange(self.bins) * self.bin_width_s
 
 
-@dataclass
-class NoiseSpec:
-    """Noise level 0..3 with its fractional perturbation expectation."""
-
-    level: int
-    fractional_expectation: float
-
-    @classmethod
-    def from_level(cls, level: int) -> "NoiseSpec":
-        if not 0 <= level < len(NOISE_FRACTIONS):
-            raise ValueError(f"noise level must be 0..{len(NOISE_FRACTIONS) - 1}")
-        return cls(level=level, fractional_expectation=NOISE_FRACTIONS[level])
-
-    def __post_init__(self):
-        if self.level == 0 and self.fractional_expectation != 0.0:
-            raise ValueError("level 0 means no noise")
-
-
-def pixel_time(x: float, y: float, z: float, convention: str = "round_trip") -> float:
-    """Photon arrival time in seconds for a return from (x, y, z) meters."""
-    r = math.sqrt(x * x + y * y + z * z)
-    if r == 0.0:
-        raise ValueError("pixel position must not be the origin")
-    if convention == "round_trip":
-        return 2.0 * r / SPEED_OF_LIGHT
-    if convention == "one_way":
-        return r / SPEED_OF_LIGHT
-    raise ValueError(f"unknown time convention {convention!r}")
-
-
-def pixel_photons(d: float, reflectivity: float, p0: float) -> float:
-    """Expected photon count from a surface point at distance d meters."""
-    if d <= 0:
-        raise ValueError(f"distance must be positive, got {d}")
-    return reflectivity * p0 / d ** 4
-
-
 @functools.lru_cache(maxsize=16)
 def _pixel_slopes(img_w: int, img_h: int, focal_px: float):
     """Per flat pixel index, the lateral offset of its center over its depth
@@ -259,20 +222,22 @@ def _noise_scales(counts: np.ndarray, fraction: float):
     return alpha, s
 
 
-def add_noise(h: Histogram, spec: NoiseSpec, seed) -> Histogram:
-    """Poisson + Gaussian perturbation at the spec's fractional expectation.
+def add_noise(h: Histogram, level: int, seed) -> Histogram:
+    """Poisson + Gaussian perturbation at noise level 0..3.
 
     Level 0 returns the input unchanged. Otherwise each bin b becomes
     max(0, Poisson(alpha * b) / alpha + Normal(0, sigma)), with alpha and
     sigma calibrated so the mean absolute perturbation of nonzero bins is
-    approximately fractional_expectation * mean(nonzero bins). Deterministic
+    approximately NOISE_FRACTIONS[level] * mean(nonzero bins). Deterministic
     for a fixed seed, an int or a sequence of ints such as
     (seed, stream, scene index).
     """
-    if spec.level == 0 or spec.fractional_expectation == 0.0:
+    if not 0 <= level < len(NOISE_FRACTIONS):
+        raise ValueError(f"noise level must be 0..{len(NOISE_FRACTIONS) - 1}, got {level}")
+    if level == 0:
         return Histogram(h.bin_width_s, h.counts.copy(), h.t0_s)
     rng = np.random.default_rng(seed)
-    alpha, sigma = _noise_scales(h.counts, spec.fractional_expectation)
+    alpha, sigma = _noise_scales(h.counts, NOISE_FRACTIONS[level])
     if alpha == 0.0:  # all-zero histogram: nothing to perturb against
         return Histogram(h.bin_width_s, h.counts.copy(), h.t0_s)
     noisy = rng.poisson(h.counts * alpha).astype(np.float64) / alpha

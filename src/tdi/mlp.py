@@ -20,6 +20,10 @@ from .forward import Histogram, normalize_histogram
 from .scene import DepthImage
 
 DEFAULT_HIDDEN = (1024, 512, 256)
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 # Elements per block of the in-place Adam update (two scratch blocks of this size).
 ADAM_BLOCK = 1 << 15
 # Elements, about, per row block of a weight gradient built from its factors.
@@ -63,9 +67,6 @@ class TrainConfig:
     epochs: int = 200
     validation_fraction: float = 0.07
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -88,7 +89,7 @@ class AdamState:
     """Adam's moments, one array per weight then per bias, kept scaled.
 
     With m and v the textbook moments (Kingma & Ba, Algorithm 1), `m` holds
-    m / (1 - beta1) and `v` holds v / (1 - beta2), so adam_step adds g and
+    m / (1 - BETA1) and `v` holds v / (1 - BETA2), so adam_step adds g and
     g^2 to them unscaled.
     """
     m: list
@@ -216,7 +217,11 @@ def _gradient_shape(g) -> tuple:
     return (delta.shape[1], act.shape[1])
 
 
-def _factors_bound_products(delta: np.ndarray, act: np.ndarray, p: np.ndarray,
+def _diverged(name: str, t: int) -> TrainingDivergedError:
+    return TrainingDivergedError(f"nonfinite gradient for {name} at step {t}")
+
+
+def _factors_bound_products(delta: np.ndarray, act: np.ndarray, dtype, name: str,
                             t: int) -> bool:
     """Check a weight gradient's factors once; True when no sum can overflow.
 
@@ -230,9 +235,8 @@ def _factors_bound_products(delta: np.ndarray, act: np.ndarray, p: np.ndarray,
     d_max = float(np.max(np.abs(delta), initial=0.0))    # max propagates NaN
     a_max = float(np.max(np.abs(act), initial=0.0))
     if not (math.isfinite(d_max) and math.isfinite(a_max)):
-        raise TrainingDivergedError(
-            f"nonfinite gradient for parameter of shape {p.shape} at step {t}")
-    return delta.shape[0] * d_max * a_max < float(np.finfo(p.dtype).max) / 2
+        raise _diverged(name, t)
+    return delta.shape[0] * d_max * a_max < float(np.finfo(dtype).max) / 2
 
 
 def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
@@ -254,15 +258,20 @@ def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
     arrays, not to the textbook form. A gradient that is not finite raises
     TrainingDivergedError: factors are checked once, before any parameter
     changes, and a gradient sub-block is checked before it is used unless
-    its factors bound every sum below overflow. `grads` is never written.
+    its factors bound every sum below overflow; the error names the
+    parameter by role and index ("weight 0", "bias 2"), which a model with
+    packed input columns shares with its full-width self. `grads` is never
+    written.
     """
     if t < 1:
         raise ValueError("step index t starts at 1")
     params = model.weights + model.biases
     if len(grads) != len(params):
         raise ValueError("gradient list does not match parameter list")
+    layers = len(model.weights)
     plan, buffer_size = [], 0
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
+        name = f"weight {i}" if i < layers else f"bias {i - layers}"
         if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
             raise ValueError("parameters and Adam moments must be C-contiguous")
         shape = _gradient_shape(g)
@@ -274,18 +283,18 @@ def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
         if isinstance(g, tuple):
             widest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
             buffer_size = max(buffer_size, widest * row_size)
-            check = not _factors_bound_products(*g, p, t)
-        plan.append((bounds, row_size, check))
-    b1, b2 = config.beta1, config.beta2
-    correction1 = 1.0 - b1 ** t
-    correction2 = 1.0 - b2 ** t
-    scale = math.sqrt((1.0 - b2) / correction2)
-    k = config.learning_rate * (1.0 - b1) / (correction1 * scale)
-    eps = config.eps / scale
+            check = not _factors_bound_products(*g, p.dtype, name, t)
+        plan.append((bounds, row_size, check, name))
+    correction1 = 1.0 - BETA1 ** t
+    correction2 = 1.0 - BETA2 ** t
+    scale = math.sqrt((1.0 - BETA2) / correction2)
+    k = config.learning_rate * (1.0 - BETA1) / (correction1 * scale)
+    eps = EPS / scale
     buffer = np.empty(buffer_size, dtype=model.dtype)
     scratch_a = np.empty(ADAM_BLOCK, dtype=model.dtype)
     scratch_b = np.empty(ADAM_BLOCK, dtype=model.dtype)
-    for p, g, m, v, (bounds, row_size, check) in zip(params, grads, state.m, state.v, plan):
+    for p, g, m, v, (bounds, row_size, check, name) in zip(params, grads, state.m, state.v,
+                                                           plan):
         p_flat, m_flat, v_flat = p.reshape(-1), m.reshape(-1), v.reshape(-1)
         if not isinstance(g, tuple):
             g_flat = np.ascontiguousarray(g).reshape(-1)
@@ -303,12 +312,11 @@ def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
                 pb, mb, vb = p_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
                 a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
                 if check and not np.isfinite(gb).all():
-                    raise TrainingDivergedError(
-                        f"nonfinite gradient for parameter of shape {p.shape} at step {t}")
-                mb *= b1
+                    raise _diverged(name, t)
+                mb *= BETA1
                 mb += gb
                 np.multiply(gb, gb, out=a)
-                vb *= b2
+                vb *= BETA2
                 vb += a
                 np.sqrt(vb, out=a)
                 a += eps
@@ -349,9 +357,12 @@ def _unpack_columns(w: np.ndarray, packed: np.ndarray, live: np.ndarray,
         w[r0:r1, dead] = saved[r0:r1]
 
 
-def train(dataset, config: TrainConfig, model: MlpModel | None = None,
-          hidden_dims=DEFAULT_HIDDEN) -> tuple[MlpModel, TrainHistory]:
+def train(dataset, config: TrainConfig,
+          model: MlpModel | None = None) -> tuple[MlpModel, TrainHistory]:
     """Train on (X, Y) pairs of normalized vectors; returns model + history.
+
+    Without `model`, a new one with DEFAULT_HIDDEN layers is made from
+    config.seed; pass `model` for other widths or to continue training.
 
     The shuffled tail (validation_fraction of the data) is held out once,
     before the first epoch, and scored after every epoch; the rest is
@@ -387,7 +398,7 @@ def train(dataset, config: TrainConfig, model: MlpModel | None = None,
             raise ValueError(f"{name} must be normalized to [0, 1]")
 
     if model is None:
-        model = init_model([x.shape[1], *hidden_dims, y.shape[1]], config.seed)
+        model = init_model([x.shape[1], *DEFAULT_HIDDEN, y.shape[1]], config.seed)
     for name, width, end, layer in (("inputs", x.shape[1], "input", model.layer_dims[0]),
                                     ("targets", y.shape[1], "output", model.layer_dims[-1])):
         if width != layer:

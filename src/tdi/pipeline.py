@@ -19,16 +19,19 @@ counts block and the scene list.
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import forward, metrics, mlp, scene, store
-from .config import (IRF_SWEEP_S, DATASET_SIZE_SWEEP, REFLECTIVITY_SWEEP,
-                     REFLECTIVITY_TRAIN_RANGE, SimConfig, desk_sim, paper_sim)
+from .config import (IRF_SWEEP_S, DATASET_SIZE_SWEEP, NOISE_FRACTIONS, REFLECTIVITY_SWEEP,
+                     REFLECTIVITY_TRAININGS, REFLECTIVITY_TRAIN_RANGE, SimConfig, desk_sim,
+                     paper_sim)
 
-BACKGROUND_KINDS = ("structured", "uniform")
+# Each background kind a recipe may name, with the function that builds it.
+BACKGROUNDS = {"structured": scene.default_background, "uniform": scene.Background}
+BACKGROUND_KINDS = tuple(BACKGROUNDS)
 # Failures a sweep records for one point before going on to the next; any
 # other exception is a bug and propagates.
 SWEEP_ERRORS = (ValueError, store.StoreError, mlp.TrainingDivergedError)
@@ -83,16 +86,10 @@ def paper_recipe(seed: int = 0) -> DatasetRecipe:
     return DatasetRecipe(sim=paper_sim(seed))
 
 
-def make_background(kind: str) -> scene.Background:
-    if kind == "uniform":
-        return scene.uniform_background()
-    return scene.default_background()
-
-
 def build_scenes(recipe: DatasetRecipe) -> list:
     """Silhouettes + augmentation + per-scene reflectivity assignment."""
     sils = scene.generate_silhouettes(recipe.n_silhouettes, recipe.sim.seed)
-    background = make_background(recipe.background)
+    background = BACKGROUNDS[recipe.background]()
     scenes = scene.augment(sils, background, recipe.sim,
                            depth_steps=recipe.depth_steps,
                            lateral_steps=recipe.lateral_steps,
@@ -184,32 +181,16 @@ def _map_rows(work, n: int) -> None:
     """Run `work(lo, hi)` on contiguous chunks of range(n), one per usable core.
 
     Each chunk writes only its own rows of arrays made beforehand, so the
-    result does not depend on the number of chunks. The caller works the
-    first chunk and a new thread works each of the others, so no thread
-    outlives the call (a module-level pool would deadlock in a child after
-    fork). If chunks fail, the exception of the lowest one propagates
-    unchanged; it holds the first failing row, the one a serial loop would
-    have stopped at.
+    result does not depend on the number of chunks. The pool lives only for
+    the call, so no thread outlives it (a module-level pool would deadlock
+    in a child after fork). Results are read in chunk order, so if chunks
+    fail, the exception of the lowest one propagates unchanged: it holds the
+    first failing row, the one a serial loop would have stopped at.
     """
     chunks = max(1, min(_usable_cores(), n))
     bounds = [n * k // chunks for k in range(chunks + 1)]
-    errors = [None] * chunks
-
-    def run(k):
-        try:
-            work(bounds[k], bounds[k + 1])
-        except BaseException as exc:  # re-raised below, in the caller's thread
-            errors[k] = exc
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, chunks)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    with ThreadPoolExecutor(max_workers=chunks) as pool:
+        list(pool.map(work, bounds[:-1], bounds[1:]))   # results in chunk order
 
 
 def _finalize_rows(counts: np.ndarray, scenes: np.ndarray, cfg: SimConfig,
@@ -220,8 +201,6 @@ def _finalize_rows(counts: np.ndarray, scenes: np.ndarray, cfg: SimConfig,
     _THREADED_MIN_BINS bins that get an IRF or noise run on all usable
     cores; the bytes are the same either way.
     """
-    spec = forward.NoiseSpec.from_level(level)
-
     def rows(lo, hi):
         for row in range(lo, hi):
             index = int(scenes[row])
@@ -229,14 +208,14 @@ def _finalize_rows(counts: np.ndarray, scenes: np.ndarray, cfg: SimConfig,
                 h = forward.Histogram(cfg.bin_width_s, counts[row])
                 if dt > 0:
                     h = forward.convolve_irf(h, dt)
-                if level > 0:
-                    h = forward.add_noise(h, spec, seed=(cfg.seed, NOISE_STREAM, index))
+                if level:
+                    h = forward.add_noise(h, level, seed=(cfg.seed, NOISE_STREAM, index))
                 # float32 as stored: each row rounds here exactly as the Dataset cast would
                 out[row] = forward.normalize_histogram(h)
             except ValueError as exc:
                 raise _scene_error(exc, index) from exc
 
-    if cfg.bins >= _THREADED_MIN_BINS and (dt > 0 or level > 0):
+    if cfg.bins >= _THREADED_MIN_BINS and (dt > 0 or level):
         _map_rows(rows, len(counts))
     else:
         rows(0, len(counts))
@@ -351,7 +330,7 @@ def sweep_irf(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
 
 
 def sweep_noise(raw: RawDataset, train_cfg: mlp.TrainConfig, n_test: int,
-                levels=(0, 1, 2, 3)) -> list:
+                levels=range(len(NOISE_FRACTIONS))) -> list:
     """Fixed training on clean data; noise is applied to the test inputs."""
     train_rows, test_rows = _split_rows(len(raw), n_test, raw.recipe.sim.seed)
     train = finalize(raw.take(train_rows), noise_level=0)
@@ -385,8 +364,8 @@ def sweep_reflectivity(recipe: DatasetRecipe, train_cfg: mlp.TrainConfig, n_test
     changes, which rescales its histogram contribution relative to the
     background. Each scene is simulated only where it is trained on or scored.
     """
-    if training not in ("fixed", "varied"):
-        raise ValueError("training must be 'fixed' or 'varied'")
+    if training not in REFLECTIVITY_TRAININGS:
+        raise ValueError(f"training must be one of {REFLECTIVITY_TRAININGS}")
     train_recipe = recipe if training == "fixed" else replace(
         recipe, reflectivity_range=REFLECTIVITY_TRAIN_RANGE)
     train_rows, test_rows = _split_rows(recipe.n_scenes, n_test, recipe.sim.seed)

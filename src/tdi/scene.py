@@ -91,6 +91,8 @@ class Box:
 
 @dataclass
 class Background:
+    """A wall and the boxes in front of it; with no boxes, a bare wall."""
+
     wall_depth_m: float = 4.0
     wall_reflectivity: float = 1.0
     objects: list = field(default_factory=list)
@@ -165,11 +167,6 @@ def default_background() -> Background:
             Box(x=0.80, y=-0.15, z=3.2, width=0.85, height=1.10),
         ],
     )
-
-
-def uniform_background(wall_depth_m: float = 4.0) -> Background:
-    """A bare wall: a background with no objects."""
-    return Background(wall_depth_m)
 
 
 def scale_factor(d: float) -> float:

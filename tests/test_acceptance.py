@@ -44,20 +44,20 @@ def train_each_model_once():
 
     Criterion 7's clean point and criterion 8's fixed training use the data
     and config of criterion 5's baseline model. The key is the sha256 of the
-    inputs and targets with the config and hidden dims, and a hit returns a
-    copy of what training returned, so no check sees anything else.
+    inputs and targets with the config, and a hit returns a copy of what
+    training returned, so no check sees anything else.
     """
     real_train, trained = mlp.train, {}
 
-    def train(dataset, config, model=None, hidden_dims=mlp.DEFAULT_HIDDEN):
+    def train(dataset, config, model=None):
         if model is not None:
-            return real_train(dataset, config, model, hidden_dims)
-        key = [repr(config), tuple(hidden_dims)]
+            return real_train(dataset, config, model)
+        key = [repr(config)]
         for arr in map(np.ascontiguousarray, dataset):
             key += [arr.dtype.str, arr.shape, hashlib.sha256(arr).hexdigest()]
         key = tuple(key)
         if key not in trained:
-            trained[key] = real_train(dataset, config, hidden_dims=hidden_dims)
+            trained[key] = real_train(dataset, config)
         cached, history = trained[key]
         return cached.copy(), mlp.TrainHistory(history.train_loss.copy(),
                                                history.val_loss.copy())
@@ -169,7 +169,7 @@ def test_criterion_03_mirror_ambiguity(report):
 
     identical = 0
     for p in placements:
-        sc = scene.Scene(scene.uniform_background(), [p])
+        sc = scene.Scene(scene.Background(), [p])
         ha = forward.simulate_histogram(scene.render(sc, cfg), cfg)
         hb = forward.simulate_histogram(scene.render(sc.mirror(), cfg), cfg)
         identical += np.array_equal(ha.counts, hb.counts)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from reference import sum_expected_photons
 from tdi import forward, scene
-from tdi.config import SPEED_OF_LIGHT, SimConfig
+from tdi.config import NOISE_FRACTIONS, SPEED_OF_LIGHT, SimConfig
 
 C = SPEED_OF_LIGHT
 
@@ -23,44 +23,75 @@ def single_pixel_image(depth, cfg=CFG9, reflectivity=1.0):
 
 
 # ---------------------------------------------------------------------------
-# pixel_time / pixel_photons
+# a pixel's return: arrival time 2r/c (r/c one way), photons reflectivity * p0 / r^4
+
+
+def pixel_return(img, cfg=CFG9):
+    """The one nonzero bin of an image's histogram and its count."""
+    counts = forward.simulate_histogram(img, cfg).counts
+    (k,) = np.flatnonzero(counts)
+    return k, counts[k]
 
 
 def test_pixel_time_round_trip_on_axis():
-    assert forward.pixel_time(0, 0, 3.0) == pytest.approx(2 * 3.0 / C, rel=1e-15)
+    k, _ = pixel_return(single_pixel_image(3.0))
+    assert k == math.floor(2 * 3.0 / C / CFG9.bin_width_s)
 
 
 def test_pixel_time_one_way_is_half():
-    rt = forward.pixel_time(0.3, -0.2, 2.5, "round_trip")
-    ow = forward.pixel_time(0.3, -0.2, 2.5, "one_way")
-    assert rt == pytest.approx(2 * ow, rel=1e-15)
+    # r/c in bins of half the width lands where 2r/c does, for every pixel
+    cfg = SimConfig(img_w=16, img_h=16, bins=1000)
+    one_way = cfg.with_(time_convention="one_way", bin_width_s=cfg.bin_width_s / 2)
+    sil = scene.generate_silhouettes(1, seed=3)[0]
+    img = scene.render(scene.Scene(scene.default_background(),
+                                   [scene.Placement(sil, x=0.4, z=2.2)]), cfg)
+    rt = forward.simulate_histogram(img, cfg)
+    ow = forward.simulate_histogram(img, one_way)
+    assert np.count_nonzero(rt.counts) > 10
+    assert ow.counts.tobytes() == rt.counts.tobytes()
 
 
 def test_pixel_time_pythagoras():
-    assert forward.pixel_time(3.0, 4.0, 0.0) == pytest.approx(2 * 5.0 / C, rel=1e-15)
+    # the corner pixel: r from its lateral offsets and its depth
+    z = 2.0
+    grid = np.zeros((9, 9))
+    grid[0, 0] = z
+    x = scene.pixel_offsets(9)[0] / CFG9.focal_px * z
+    y = -x
+    r = math.sqrt(x * x + y * y + z * z)
+    assert r > z * 1.05
+    k, count = pixel_return(scene.DepthImage(grid, np.ones((9, 9))))
+    assert k == math.floor(2 * r / C / CFG9.bin_width_s)
+    assert count == pytest.approx(CFG9.p0 / r ** 4, rel=1e-12)
 
 
 def test_pixel_time_rejects_origin_and_bad_convention():
-    with pytest.raises(ValueError):
-        forward.pixel_time(0, 0, 0)
-    with pytest.raises(ValueError):
-        forward.pixel_time(0, 0, 1, "two_way")
+    # a pixel at depth 0 (the origin) returns no light; the config checks the convention
+    h = forward.simulate_histogram(single_pixel_image(0.0), CFG9)
+    assert not h.counts.any()
+    with pytest.raises(ValueError, match="unknown time convention 'two_way'"):
+        SimConfig(time_convention="two_way")
 
 
 def test_pixel_photons_inverse_fourth_power():
-    near = forward.pixel_photons(1.3, 1.0, 50.0)
-    far = forward.pixel_photons(2.6, 1.0, 50.0)
+    cfg = CFG9.with_(p0=50.0)
+    _, near = pixel_return(single_pixel_image(1.3, cfg), cfg)
+    _, far = pixel_return(single_pixel_image(2.6, cfg), cfg)
     assert near / far == pytest.approx(16.0, rel=1e-12)
 
 
 def test_pixel_photons_reference_values():
-    assert forward.pixel_photons(1.0, 1.0, 100.0) == 100.0
-    assert forward.pixel_photons(2.0, 0.5, 16.0) == pytest.approx(0.5, rel=1e-15)
+    assert pixel_return(single_pixel_image(1.0))[1] == 100.0 == CFG9.p0
+    cfg = CFG9.with_(p0=16.0)
+    assert pixel_return(single_pixel_image(2.0, cfg, reflectivity=0.5), cfg)[1] == \
+        pytest.approx(0.5, rel=1e-15)
 
 
 def test_pixel_photons_rejects_nonpositive_distance():
-    with pytest.raises(ValueError):
-        forward.pixel_photons(0.0, 1.0, 1.0)
+    # a negative depth is no image; depth 0 is no return
+    with pytest.raises(ValueError, match="depth values must be finite and >= 0"):
+        single_pixel_image(-1.0)
+    assert not forward.simulate_histogram(single_pixel_image(0.0), CFG9).counts.any()
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +110,7 @@ def test_simulate_single_on_axis_pixel():
     nonzero = np.nonzero(h.counts)[0]
     assert len(nonzero) == 1
     assert nonzero[0] == math.floor(2 * d / (C * CFG9.bin_width_s))
-    assert h.counts[nonzero[0]] == pytest.approx(
-        forward.pixel_photons(d, 1.0, CFG9.p0), rel=1e-15)
+    assert h.counts[nonzero[0]] == pytest.approx(CFG9.p0 / d ** 4, rel=1e-15)
 
 
 def test_simulate_two_depth_count_ratio():
@@ -160,7 +190,7 @@ def test_mirror_ambiguity_uniform_vs_structured():
     sil = scene.generate_silhouettes(1, seed=4)[0]
     placement = scene.Placement(sil, x=0.6, z=2.0)
 
-    plain = scene.Scene(scene.uniform_background(), [placement])
+    plain = scene.Scene(scene.Background(), [placement])
     ha = forward.simulate_histogram(scene.render(plain, cfg), cfg)
     hb = forward.simulate_histogram(scene.render(plain.mirror(), cfg), cfg)
     assert np.array_equal(ha.counts, hb.counts)
@@ -259,31 +289,29 @@ def bump_histogram(bins=1000, width=1e-11):
 
 def test_noise_level_zero_is_identity():
     h = bump_histogram()
-    out = forward.add_noise(h, forward.NoiseSpec.from_level(0), seed=3)
+    out = forward.add_noise(h, 0, seed=3)
     assert np.array_equal(out.counts, h.counts)
 
 
 def test_noise_deterministic_per_seed():
     h = bump_histogram()
-    spec = forward.NoiseSpec.from_level(2)
-    a = forward.add_noise(h, spec, seed=11)
-    b = forward.add_noise(h, spec, seed=11)
-    c = forward.add_noise(h, spec, seed=12)
+    a = forward.add_noise(h, 2, seed=11)
+    b = forward.add_noise(h, 2, seed=11)
+    c = forward.add_noise(h, 2, seed=12)
     assert np.array_equal(a.counts, b.counts)
     assert not np.array_equal(a.counts, c.counts)
 
 
 def test_noise_clamped_nonnegative():
     h = bump_histogram()
-    spec = forward.NoiseSpec.from_level(3)
     for seed in range(5):
-        out = forward.add_noise(h, spec, seed=seed)
+        out = forward.add_noise(h, 3, seed=seed)
         assert (out.counts >= 0).all()
 
 
 def test_noise_all_zero_histogram_stays_nonnegative():
     h = forward.Histogram(1e-11, np.zeros(100))
-    out = forward.add_noise(h, forward.NoiseSpec.from_level(3), seed=0)
+    out = forward.add_noise(h, 3, seed=0)
     assert (out.counts >= 0).all()
 
 
@@ -293,18 +321,18 @@ def test_noise_calibration_quick():
     nz = h.counts > 0
     mean_nz = h.counts[nz].mean()
     for level in (1, 3):
-        spec = forward.NoiseSpec.from_level(level)
+        fraction = NOISE_FRACTIONS[level]
         rel = np.mean([
-            np.abs(forward.add_noise(h, spec, seed=s).counts[nz] - h.counts[nz]).mean() / mean_nz
+            np.abs(forward.add_noise(h, level, seed=s).counts[nz] - h.counts[nz]).mean() / mean_nz
             for s in range(300)])
-        assert abs(rel - spec.fractional_expectation) <= 0.2 * spec.fractional_expectation
+        assert abs(rel - fraction) <= 0.2 * fraction
 
 
 def test_noise_spec_validation():
-    with pytest.raises(ValueError):
-        forward.NoiseSpec.from_level(4)
-    with pytest.raises(ValueError):
-        forward.NoiseSpec(level=0, fractional_expectation=0.1)
+    h = bump_histogram()
+    for level in (4, -1):
+        with pytest.raises(ValueError, match=f"noise level must be 0..3, got {level}"):
+            forward.add_noise(h, level, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -92,11 +93,10 @@ def test_simulate_raw_matches_serial_reference(tiny_recipe):
 def test_finalize_matches_serial_loop(tiny_recipe):
     raw = pipeline.simulate_raw(tiny_recipe)
     cfg = tiny_recipe.sim
-    spec = forward.NoiseSpec.from_level(2)
     rows = []
     for counts, index in zip(raw.counts, raw.scenes):
         h = forward.convolve_irf(forward.Histogram(cfg.bin_width_s, counts), 250e-12)
-        h = forward.add_noise(h, spec, seed=(cfg.seed, pipeline.NOISE_STREAM, int(index)))
+        h = forward.add_noise(h, 2, seed=(cfg.seed, pipeline.NOISE_STREAM, int(index)))
         rows.append(forward.normalize_histogram(h))
     ds = pipeline.finalize(raw, irf_dt_s=250e-12, noise_level=2)
     assert ds.histograms.tobytes() == np.array(rows, dtype=np.float32).tobytes()
@@ -142,10 +142,10 @@ def test_unexpected_error_in_a_row_propagates_unchanged(tiny_recipe, chunks, mon
     bug = TypeError("a bug, not a bad scene")
     add_noise = forward.add_noise
 
-    def flaky(h, spec, seed):
+    def flaky(h, level, seed):
         if seed[2] in (30, 31):
             raise bug
-        return add_noise(h, spec, seed)
+        return add_noise(h, level, seed)
 
     raw = pipeline.simulate_raw(tiny_recipe)
     chunks(2)
@@ -153,6 +153,19 @@ def test_unexpected_error_in_a_row_propagates_unchanged(tiny_recipe, chunks, mon
     with pytest.raises(TypeError) as caught:
         pipeline.finalize(raw, noise_level=1)
     assert caught.value is bug
+
+
+def test_threaded_finalize_leaves_no_thread_behind(tiny_recipe, chunks):
+    # the pool lives only for the call, whether it returns or a row raises
+    raw = pipeline.simulate_raw(tiny_recipe)
+    chunks(3)
+    before = threading.active_count()
+    pipeline.finalize(raw, noise_level=1)
+    assert threading.active_count() == before
+    raw.counts[30, 5] = np.nan
+    with pytest.raises(ValueError, match="^scene 30: counts must be finite"):
+        pipeline.finalize(raw, noise_level=1)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("scenes", [[-1], [48], [[0, 1]]])

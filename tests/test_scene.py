@@ -14,7 +14,7 @@ CFG = SimConfig()
 
 
 def render_single(sil, x=0.0, z=2.0, mirrored=False, background=None, cfg=CFG):
-    background = background or scene.uniform_background()
+    background = background or scene.Background()
     placement = scene.Placement(sil, x=x, z=z, mirrored=mirrored)
     return scene.render(scene.Scene(background, [placement]), cfg)
 
@@ -90,7 +90,7 @@ def test_scale_factor_rejects_nonpositive():
 
 
 def test_render_empty_scene_is_wall():
-    img = scene.render(scene.Scene(scene.uniform_background(4.0)), CFG)
+    img = scene.render(scene.Scene(scene.Background(4.0)), CFG)
     assert img.depth_m.shape == (64, 64)
     assert np.all(img.depth_m == 4.0)
     assert np.all(img.reflectance == 1.0)
@@ -99,7 +99,7 @@ def test_render_empty_scene_is_wall():
 def test_render_occlusion_rule():
     sil = scene.generate_silhouettes(1, seed=2)[0]
     placement = scene.Placement(sil, z=2.0, reflectivity=1.5)
-    img = scene.render(scene.Scene(scene.uniform_background(4.0), [placement]), CFG)
+    img = scene.render(scene.Scene(scene.Background(4.0), [placement]), CFG)
     footprint = placement_footprint(placement, CFG)
     assert footprint.any()
     assert np.all(img.depth_m[footprint] == 2.0)
@@ -151,7 +151,7 @@ def test_render_rejects_out_of_range_depth():
 
 def test_render_rejects_wall_beyond_z_max():
     with pytest.raises(ValueError):
-        scene.render(scene.Scene(scene.uniform_background(5.0)), CFG)
+        scene.render(scene.Scene(scene.Background(5.0)), CFG)
 
 
 def test_structured_background_box_depths():
@@ -173,7 +173,7 @@ def test_mirror_involution():
 
 def test_mirrored_scene_renders_as_exact_flip():
     sil = scene.generate_silhouettes(1, seed=6)[0]
-    sc = scene.Scene(scene.uniform_background(),
+    sc = scene.Scene(scene.Background(),
                      [scene.Placement(sil, x=0.7, z=2.0)])
     a = scene.render(sc, CFG)
     b = scene.render(sc.mirror(), CFG)
@@ -230,7 +230,7 @@ def test_image_drawn_on_another_backdrop_is_compared_whole():
     # the image keeps its overlay on a bare wall; against the returns of the
     # boxed background the histogram must compute the whole image, not trust it
     cfg = SimConfig(img_w=24, img_h=16, bins=400)
-    sc = scene.Scene(scene.uniform_background(),
+    sc = scene.Scene(scene.Background(),
                      [scene.Placement(SILHOUETTES[1], x=0.2, z=2.0),
                       scene.Placement(SILHOUETTES[2], x=-0.3, z=1.2, mirrored=True)])
     img = scene.render(sc, cfg)
@@ -272,7 +272,7 @@ def test_augment_default_counts():
 
 def test_augment_minimal_product_is_mirror_pair():
     sils = scene.generate_silhouettes(1, seed=0)
-    scenes = scene.augment(sils, scene.uniform_background(), CFG,
+    scenes = scene.augment(sils, scene.Background(), CFG,
                            depth_steps=1, lateral_steps=1)
     assert len(scenes) == 2
     assert scenes[0].placements[0].mirrored is False
@@ -292,14 +292,14 @@ def test_augment_deterministic():
 
 def test_augment_spans_depth_range():
     sils = scene.generate_silhouettes(1, seed=0)
-    scenes = scene.augment(sils, scene.uniform_background(), CFG)
+    scenes = scene.augment(sils, scene.Background(), CFG)
     zs = sorted({s.placements[0].z for s in scenes})
     assert zs[0] == CFG.z_min and zs[-1] == CFG.z_max and len(zs) == 10
 
 
 def test_augment_requires_silhouettes():
     with pytest.raises(ValueError):
-        scene.augment([], scene.uniform_background(), CFG)
+        scene.augment([], scene.Background(), CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ def test_augment_requires_silhouettes():
 
 
 def test_normalize_image_uniform_wall():
-    img = scene.render(scene.Scene(scene.uniform_background(4.0)), CFG)
+    img = scene.render(scene.Scene(scene.Background(4.0)), CFG)
     vec = scene.normalize_image(img, 4.0)
     assert vec.shape == (4096,)
     assert np.all(vec == 1.0)

@@ -33,7 +33,7 @@ def configs(draw):
 
 
 def backgrounds():
-    return st.sampled_from(pipeline.BACKGROUND_KINDS).map(pipeline.make_background)
+    return st.sampled_from(list(pipeline.BACKGROUNDS.values())).map(lambda build: build())
 
 
 @st.composite
