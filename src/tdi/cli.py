@@ -49,6 +49,14 @@ def write_manifest(out_dir, command: str, run: dict, *resolved) -> str:
     return path
 
 
+def _count(text: str) -> int:
+    """argparse type for a count: an int, 0 or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def _settings(args) -> dict:
     """The --config file's settings, overridden by every flag given."""
     settings = read_settings(args.config) if getattr(args, "config", None) else {}
@@ -210,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--gallery", type=int, default=8,
+    p.add_argument("--gallery", type=_count, default=8,
                    help="export graymaps for the first K pairs (0 = none)")
     p.set_defaults(func=cmd_eval)
 

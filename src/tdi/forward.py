@@ -241,7 +241,7 @@ def add_noise(h: Histogram, level: int, seed) -> Histogram:
     if alpha == 0.0:  # all-zero histogram: nothing to perturb against
         return Histogram(h.bin_width_s, h.counts.copy(), h.t0_s)
     noisy = rng.poisson(h.counts * alpha).astype(np.float64) / alpha
-    noisy += rng.normal(0.0, sigma, size=h.bins)
+    noisy += rng.standard_normal(h.bins) * sigma   # the bytes of rng.normal(0.0, sigma)
     return Histogram(h.bin_width_s, np.maximum(noisy, 0.0), h.t0_s)
 
 

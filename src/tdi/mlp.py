@@ -1,7 +1,12 @@
 """Fully-connected inverse model: histogram vector -> depth image vector.
 
 Plain numpy multilayer perceptron with tanh hidden activations, a linear
-output layer, mean-squared-error loss, and Adam. Adam keeps its moments
+output layer, mean-squared-error loss, and Adam. Weights are held
+input-major, one (fan_in, fan_out) matrix per layer, so each layer computes
+a @ w + b and each row of the first weight belongs to one histogram bin.
+The first layer multiplies only the runs of bins that are nonzero in some
+input row: a histogram lights a few runs of its bins, so a single predict
+reads those rows of the first weight and no others. Adam keeps its moments
 scaled by 1 / (1 - beta), the reordering Kingma & Ba note in section 2, so
 each element costs ten array passes; the result stays within float rounding
 of the textbook update. Parameters default to float32 (the storage
@@ -28,6 +33,10 @@ EPS = 1e-8
 ADAM_BLOCK = 1 << 15
 # Elements, about, per row block of a weight gradient built from its factors.
 MATMUL_BLOCK = 1 << 18
+# Lit input columns fewer than this many unlit ones apart share one run of
+# the first layer's product: a short gap costs less to multiply through
+# than another matmul call.
+RUN_GAP = 64
 
 
 class TrainingDivergedError(RuntimeError):
@@ -36,22 +45,22 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class MlpModel:
-    weights: list       # one (fan_out, fan_in) matrix per layer
+    weights: list       # one (fan_in, fan_out) matrix per layer, input-major
     biases: list        # one (fan_out,) vector per layer
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("need one bias vector per weight matrix")
         for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ValueError("weight/bias shapes disagree")
         for wa, wb in zip(self.weights, self.weights[1:]):
-            if wb.shape[1] != wa.shape[0]:
+            if wb.shape[0] != wa.shape[1]:
                 raise ValueError("adjacent layer dimensions disagree")
 
     @property
     def layer_dims(self) -> list:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     @property
     def dtype(self):
@@ -102,7 +111,11 @@ class AdamState:
 
 
 def init_model(layer_dims, seed: int, dtype=np.float32) -> MlpModel:
-    """Glorot-uniform weights (+/- sqrt(6/(fan_in+fan_out))), zero biases."""
+    """Glorot-uniform weights (+/- sqrt(6/(fan_in+fan_out))), zero biases.
+
+    Each weight holds the transpose of one row-major (fan_out, fan_in) draw,
+    the numbers a seed gave when weights were held output-major.
+    """
     dims = list(layer_dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError("layer_dims needs at least 2 entries, all >= 1")
@@ -110,16 +123,47 @@ def init_model(layer_dims, seed: int, dtype=np.float32) -> MlpModel:
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        # Drawn ADAM_BLOCK values at a time: the stream continues across calls,
-        # so the bytes are those of one whole-matrix draw cast to dtype.
-        w = np.empty((fan_out, fan_in), dtype=dtype)
-        w_flat = w.reshape(-1)
-        for lo in range(0, w_flat.size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, w_flat.size)
-            w_flat[lo:hi] = rng.uniform(-limit, limit, size=hi - lo)
+        # Drawn about ADAM_BLOCK values at a time, in whole draw rows (one row
+        # in ADAM_BLOCK pieces when it is longer): the stream continues across
+        # calls, so the bytes are those of one whole-matrix draw cast to dtype.
+        w = np.empty((fan_in, fan_out), dtype=dtype)
+        step = max(1, ADAM_BLOCK // fan_in)
+        for r0 in range(0, fan_out, step):
+            r1 = min(r0 + step, fan_out)
+            for lo in range(0, fan_in, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, fan_in)
+                w[lo:hi, r0:r1] = rng.uniform(-limit, limit, size=(r1 - r0, hi - lo)).T
         weights.append(w)
         biases.append(np.zeros(fan_out, dtype=dtype))
     return MlpModel(weights, biases)
+
+
+def _lit_runs(a: np.ndarray) -> list:
+    """(start, stop) of each run of columns nonzero in some row of `a`.
+
+    Two lit columns fewer than RUN_GAP unlit columns apart share a run.
+    """
+    lit = np.flatnonzero(np.any(a, axis=0))
+    if not lit.size:
+        return []
+    cut = np.flatnonzero(np.diff(lit) > RUN_GAP)
+    starts = lit[np.concatenate(([0], cut + 1))]
+    stops = lit[np.concatenate((cut, [lit.size - 1]))] + 1
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
+def _first_layer(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ w + b, reading only the rows of w whose input columns are lit.
+
+    An unlit column adds exactly zero to every sum, so the product is the
+    bias plus a[:, s:e] @ w[s:e] over the lit runs: exactly the bias when no
+    column is lit, and one product when the lit columns form one run.
+    """
+    z = np.empty((a.shape[0], w.shape[1]), dtype=np.result_type(a, w, b))
+    z[:] = b
+    for start, stop in _lit_runs(a):
+        z += a[:, start:stop] @ w[start:stop]
+    return z
 
 
 def _activations(model: MlpModel, x: np.ndarray) -> list:
@@ -128,8 +172,8 @@ def _activations(model: MlpModel, x: np.ndarray) -> list:
     a = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        a = z if i == last else np.tanh(z)
+        z = _first_layer(a, w, b) if i == 0 else a @ w + b
+        a = z if i == last else np.tanh(z, out=z)
         acts.append(a)
     return acts
 
@@ -160,7 +204,7 @@ def _backward(model: MlpModel, x: np.ndarray, s: np.ndarray):
     """Batch loss and gradients: each weight's as its factors, each bias's whole.
 
     In AdamState order: one (delta, act) pair per weight matrix, whose
-    gradient is delta.T @ act, then one array per bias vector. The factors
+    gradient is act.T @ delta, then one array per bias vector. The factors
     are batch-sized; adam_step builds the weight gradients from them.
     """
     acts = _activations(model, x)
@@ -174,7 +218,7 @@ def _backward(model: MlpModel, x: np.ndarray, s: np.ndarray):
         grads[i] = (delta, acts[i])
         grads[layers + i] = np.sum(delta, axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i]) * (1.0 - acts[i] * acts[i])  # tanh'
+            delta = (delta @ model.weights[i].T) * (1.0 - acts[i] * acts[i])  # tanh'
     return loss, grads
 
 
@@ -194,7 +238,7 @@ def gradients(model: MlpModel, batch_x: np.ndarray, batch_s: np.ndarray) -> list
         raise ValueError("inputs and targets have different batch sizes")
     grads = _backward(model, x, s)[1]
     layers = len(model.weights)
-    return [np.matmul(delta.T, act) for delta, act in grads[:layers]] + grads[layers:]
+    return [np.matmul(act.T, delta) for delta, act in grads[:layers]] + grads[layers:]
 
 
 def _row_bounds(rows: int, row_size: int) -> list:
@@ -214,7 +258,7 @@ def _gradient_shape(g) -> tuple:
     if delta.ndim != 2 or act.ndim != 2 or delta.shape[0] != act.shape[0]:
         raise ValueError(f"gradient factors of shapes {delta.shape} and {act.shape} "
                          "are not (batch, fan_out) and (batch, fan_in)")
-    return (delta.shape[1], act.shape[1])
+    return (act.shape[1], delta.shape[1])
 
 
 def _diverged(name: str, t: int) -> TrainingDivergedError:
@@ -226,7 +270,7 @@ def _factors_bound_products(delta: np.ndarray, act: np.ndarray, dtype, name: str
     """Check a weight gradient's factors once; True when no sum can overflow.
 
     A nonfinite factor makes a nonfinite gradient, so it raises here, before
-    any parameter is touched. Every entry of delta.T @ act is a sum of batch
+    any parameter is touched. Every entry of act.T @ delta is a sum of batch
     products, each at most max|delta| * max|act|; when batch times that is
     below half the largest float of the parameter dtype (the margin covers
     float rounding), every entry is finite and the per-block check can go.
@@ -245,7 +289,7 @@ def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
 
     Each entry of `grads` is either a gradient shaped like its parameter or,
     for a weight matrix, its factors (delta, act), whose gradient is
-    delta.T @ act. Each parameter is walked in row blocks of about
+    act.T @ delta. Each parameter is walked in row blocks of about
     MATMUL_BLOCK elements, each of at least 2 rows; a factored gradient is
     built one row block at a time, by one matmul into a reused buffer, so no
     parameter-sized gradient is ever held. Each row block is updated in
@@ -260,7 +304,7 @@ def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
     changes, and a gradient sub-block is checked before it is used unless
     its factors bound every sum below overflow; the error names the
     parameter by role and index ("weight 0", "bias 2"), which a model with
-    packed input columns shares with its full-width self. `grads` is never
+    packed input rows shares with its full-width self. `grads` is never
     written.
     """
     if t < 1:
@@ -303,7 +347,7 @@ def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
             if isinstance(g, tuple):
                 delta, act = g
                 rows = buffer[: stop - start]
-                np.matmul(delta[:, r0:r1].T, act, out=rows.reshape(r1 - r0, row_size))
+                np.matmul(act[:, r0:r1].T, delta, out=rows.reshape(r1 - r0, row_size))
             else:
                 rows = g_flat[start:stop]
             for lo in range(start, stop, ADAM_BLOCK):
@@ -326,35 +370,30 @@ def adam_step(model: MlpModel, grads: list, state: AdamState, t: int,
     return model, state
 
 
-def _pack_columns(w: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Move the `live` columns of w, in order, to the front of its own buffer.
+def _pack_rows(w: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Move the `live` rows of w, in order, to the front of w; returns that view.
 
-    Returns the (rows, len(live)) C-contiguous view that holds them; the
-    rest of the buffer is left stale until _unpack_columns. Row blocks go in
-    ascending order, each through a block-sized copy: a block's packed rows
-    end before its first unread row starts, so no row is overwritten before
-    it is read.
+    The rows after them are left stale until _unpack_rows. Blocks of about
+    MATMUL_BLOCK elements go in ascending order, each through a block-sized
+    copy: live[k] >= k, so no block writes a row a later block reads.
     """
-    rows, width = w.shape
-    flat = w.reshape(-1)
-    bounds = _row_bounds(rows, width)
-    for r0, r1 in zip(bounds, bounds[1:]):
-        flat[r0 * live.size: r1 * live.size] = w[r0:r1].take(live, axis=1).reshape(-1)
-    return flat[: rows * live.size].reshape(rows, live.size)
+    bounds = _row_bounds(live.size, w.shape[1])
+    for k0, k1 in zip(bounds, bounds[1:]):
+        w[k0:k1] = w.take(live[k0:k1], axis=0)
+    return w[: live.size]
 
 
-def _unpack_columns(w: np.ndarray, packed: np.ndarray, live: np.ndarray,
-                    dead: np.ndarray, saved: np.ndarray) -> None:
-    """Undo _pack_columns: `packed` back into w's live columns, `saved` into its dead ones.
+def _unpack_rows(w: np.ndarray, live: np.ndarray, dead: np.ndarray,
+                 saved: np.ndarray) -> None:
+    """Undo _pack_rows: the packed rows back to their `live` rows, `saved` into the `dead` ones.
 
-    Row blocks go in descending order, each through a block-sized copy, so
-    a block's full rows overwrite only packed rows already copied out.
+    Blocks go in descending order, each through a block-sized copy, so a
+    block overwrites only packed rows already moved back.
     """
-    bounds = _row_bounds(w.shape[0], w.shape[1])
-    for r0, r1 in reversed(list(zip(bounds, bounds[1:]))):
-        block = packed[r0:r1].copy()
-        w[r0:r1, live] = block
-        w[r0:r1, dead] = saved[r0:r1]
+    bounds = _row_bounds(live.size, w.shape[1])
+    for k0, k1 in reversed(list(zip(bounds, bounds[1:]))):
+        w[live[k0:k1]] = w[k0:k1].copy()
+    w[dead] = saved
 
 
 def train(dataset, config: TrainConfig,
@@ -373,15 +412,16 @@ def train(dataset, config: TrainConfig,
 
     Only the live input columns, those nonzero in some train or validation
     row, are trained. A dead column's gradient is zero at every step, so
-    Adam would leave its weights as they are. Instead, once per call, the
-    dead columns of the first weight are copied aside and the live ones
-    packed to the front of its own buffer; that compact weight is trained
-    with compact moments, and each batch gathers the same columns of its
-    rows. When training ends or raises, both go back into their columns,
-    so the model keeps its full width and its dead columns their bytes.
-    Besides the data, training then holds three parameter sets less the
-    dead columns' share of the first weight; with no dead column, the model
-    is trained as it is. The returned model is `model` (or the new one).
+    Adam would leave its weights, one row of the first weight, as they are.
+    Instead, once per call, the dead rows of the first weight are copied
+    aside and the live ones moved, whole rows, to the front of its own
+    buffer; that compact weight is trained with compact moments, and each
+    batch gathers the same columns of its rows. When training ends or
+    raises, both go back into their rows, so the model keeps its full width
+    and its dead rows their bytes. Besides the data, training then holds
+    three parameter sets less the dead rows' share of the first weight;
+    with no dead column, the model is trained as it is. The returned model
+    is `model` (or the new one).
     """
     x, y = dataset
     x = np.asarray(x)
@@ -419,8 +459,8 @@ def train(dataset, config: TrainConfig,
     if not dead.size:
         compact, inputs = model, x.__getitem__
     else:
-        saved = first.take(dead, axis=1)
-        compact = MlpModel([_pack_columns(first, live), *model.weights[1:]], model.biases)
+        saved = first.take(dead, axis=0)
+        compact = MlpModel([_pack_rows(first, live), *model.weights[1:]], model.biases)
 
         def inputs(rows):
             return x[rows].take(live, axis=1)
@@ -443,7 +483,7 @@ def train(dataset, config: TrainConfig,
                 val_hist[epoch] = mse_loss(forward(compact, inputs(val_idx)), y[val_idx])
     finally:
         if dead.size:
-            _unpack_columns(first, compact.weights[0], live, dead, saved)
+            _unpack_rows(first, live, dead, saved)
     return model, TrainHistory(train_loss=train_hist, val_loss=val_hist)
 
 

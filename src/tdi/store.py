@@ -6,12 +6,16 @@ followed by n_records records, each `bins` float32 histogram values then
 img_w*img_h float32 normalized image values. Everything little-endian.
 
 Model file ("TDIM"): magic 4s | version u32 | n_dims u32 | n_dims * u32 dims,
-then per layer: weights row-major float32, biases float32.
+then per layer: weights row-major float32, (fan_out, fan_in) on disk,
+transposed on read/write; biases float32. A model holds its weights
+input-major, (fan_in, fan_out), so each weight passes through one reused
+buffer of about _BLOCK_BYTES, a block of on-disk rows at a time, in both
+directions. A weight or bias that is not finite fails the read.
 
 Writes go through a temp file + atomic rename, so readers never observe a
 partially written file. Dataset records are streamed through one reused
-buffer of about _BLOCK_BYTES in both directions, and model layers are read
-straight into their arrays, so no whole-payload copy is ever made.
+buffer of about _BLOCK_BYTES in both directions, so no whole-payload copy
+is ever made.
 """
 
 from __future__ import annotations
@@ -30,8 +34,12 @@ MODEL_MAGIC = b"TDIM"
 FORMAT_VERSION = 1
 
 _F4 = np.dtype("<f4")
-# Bytes of dataset records staged per read or write; a whole record when larger.
+# Bytes of dataset records or on-disk weight rows staged per read or write;
+# a whole record or row when larger.
 _BLOCK_BYTES = 1 << 20
+# Source rows per tile of a transposing copy, so that a tile's strided
+# reads stay in cache.
+_TILE_ROWS = 256
 
 
 class BadMagicError(StoreError):
@@ -147,14 +155,42 @@ def read_dataset(path) -> Dataset:
     return Dataset(histograms=histograms, images=images, img_w=img_w, img_h=img_h)
 
 
+def _weight_blocks(w: np.ndarray):
+    """(columns, buffer) per block of on-disk rows of the input-major weight w.
+
+    On disk, row j of a weight is column j of w. Each block pairs the
+    columns w[:, r0:r1] with a (r1 - r0, fan_in) buffer; every block reuses
+    one buffer of about _BLOCK_BYTES.
+    """
+    fan_in, fan_out = w.shape
+    step = max(1, _BLOCK_BYTES // (4 * fan_in))
+    block = np.empty((min(step, fan_out), fan_in), dtype=_F4)
+    for r0 in range(0, fan_out, step):
+        r1 = min(r0 + step, fan_out)
+        yield w[:, r0:r1], block[: r1 - r0]
+
+
+def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst[...] = src.T, _TILE_ROWS rows of src at a time."""
+    for lo in range(0, dst.shape[1], _TILE_ROWS):
+        dst[:, lo: lo + _TILE_ROWS] = src[lo: lo + _TILE_ROWS].T
+
+
+def _model_chunks(header: bytes, model):
+    """The header, then per layer the weight's on-disk rows block by block and the bias."""
+    yield header
+    for w, b in zip(model.weights, model.biases):
+        for columns, block in _weight_blocks(w):
+            _transpose_into(block, columns)
+            yield block
+        yield np.ascontiguousarray(b, dtype=_F4)
+
+
 def write_model(path, model) -> None:
     dims = model.layer_dims
-    parts = [struct.pack("<4sII", MODEL_MAGIC, FORMAT_VERSION, len(dims)),
-             struct.pack(f"<{len(dims)}I", *dims)]
-    for w, b in zip(model.weights, model.biases):
-        parts.append(np.ascontiguousarray(w, dtype=_F4))
-        parts.append(np.ascontiguousarray(b, dtype=_F4))
-    write_atomic(path, parts)
+    header = (struct.pack("<4sII", MODEL_MAGIC, FORMAT_VERSION, len(dims))
+              + struct.pack(f"<{len(dims)}I", *dims))
+    write_atomic(path, _model_chunks(header, model))
 
 
 def read_model(path):
@@ -173,11 +209,17 @@ def read_model(path):
             raise TruncatedFileError(f"{path}: expected {expected} parameter bytes, got {size}")
         if size > expected:
             raise HeaderMismatchError(f"{path}: {size - expected} trailing parameter bytes")
-        weights = [np.empty((dout, din), dtype=_F4) for din, dout in zip(dims[:-1], dims[1:])]
+        weights = [np.empty((din, dout), dtype=_F4) for din, dout in zip(dims[:-1], dims[1:])]
         biases = [np.empty(dout, dtype=_F4) for dout in dims[1:]]
-        for w, b in zip(weights, biases):
-            _read_into(fh, w, path, "weights")
+        for layer, (w, b) in enumerate(zip(weights, biases)):
+            for columns, block in _weight_blocks(w):
+                _read_into(fh, block, path, "weights")
+                if not _finite(block):
+                    raise StoreError(f"{path}: layer {layer} weights hold NaN or inf")
+                _transpose_into(columns, block)
             _read_into(fh, b, path, "biases")
+            if not _finite(b):
+                raise StoreError(f"{path}: layer {layer} biases hold NaN or inf")
     return MlpModel(weights, biases)
 
 

@@ -136,6 +136,18 @@ def dataset_file_bytes(dataset) -> bytes:
     return header + records.tobytes()
 
 
+def dense_forward(model, x):
+    """The network's output in float64, every input column multiplied: a @ w + b per
+    input-major layer, tanh on all but the last."""
+    a = np.asarray(x, dtype=np.float64)
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ np.asarray(w, dtype=np.float64) + np.asarray(b, dtype=np.float64)
+        if i < last:
+            a = np.tanh(a)
+    return a
+
+
 def max_grad_rel_error(analytic, numeric, floor=1e-8) -> float:
     """Worst relative disagreement, ignoring entries that are numerically zero."""
     worst = 0.0

@@ -303,6 +303,18 @@ def test_eval_gallery_zero_and_repeatable(tmp_path, tiny_config):
     assert (tmp_path / "e1/ssim.csv").read_text() == (tmp_path / "e2/ssim.csv").read_text()
 
 
+def test_eval_rejects_a_negative_gallery(tmp_path, capsys):
+    out = tmp_path / "e"
+    argv = ["eval", "--model", tmp_path / "model.tdim", "--dataset", tmp_path / "pairs.tdid",
+            "--out", out, "--gallery"]
+    with pytest.raises(SystemExit) as info:
+        run(argv + ["-1"])
+    assert info.value.code == 2
+    assert "--gallery: must be 0 or more, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.build_parser().parse_args([str(a) for a in argv] + ["0"]).gallery == 0
+
+
 def test_sweep_noise_csv(tmp_path, tiny_config):
     out = tmp_path / "sweep"
     assert run(["sweep", "--kind", "noise", "--out", out,

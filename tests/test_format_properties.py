@@ -1,12 +1,14 @@
 """Property tests of the file formats and of SSIM.
 
-`.tdid` datasets and `.tdim` models must read back bit for bit for any shape,
-an empty dataset included, and with any record-block size; a histogram CSV
-must read back its counts and its first bin start, also when that is not 0.
-SSIM must be symmetric to the last bit and score an image against itself as
-exactly 1.
+`.tdid` datasets and `.tdim` models of finite values must read back bit for
+bit for any shape, an empty dataset included, and with any block size, and
+a model's file must hold each weight transposed, (fan_out, fan_in). A
+histogram CSV must read back its counts and its first bin start, also when
+that is not 0. SSIM must be symmetric to the last bit and score an image
+against itself as exactly 1.
 """
 
+import struct
 from unittest import mock
 
 import numpy as np
@@ -47,18 +49,24 @@ def test_dataset_file_round_trips_any_shape(tmp_path_factory, ds, block_bytes):
 @st.composite
 def models(draw):
     dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
-    weights = [draw(arrays(np.float32, (dout, din), elements=st.floats(width=32)))
+    weights = [draw(arrays(np.float32, (din, dout), elements=FINITE_F4))
                for din, dout in zip(dims[:-1], dims[1:])]
-    biases = [draw(arrays(np.float32, dout, elements=st.floats(width=32)))
-              for dout in dims[1:]]
+    biases = [draw(arrays(np.float32, dout, elements=FINITE_F4)) for dout in dims[1:]]
     return mlp.MlpModel(weights, biases)
 
 
-@given(model=models())
-def test_model_file_round_trips_any_shape(tmp_path_factory, model):
+@given(model=models(), block_bytes=st.integers(1, 64))
+def test_model_file_round_trips_any_shape(tmp_path_factory, model, block_bytes):
+    # small blocks split each weight's on-disk rows into several, some ending short
     path = tmp_path_factory.mktemp("tdim") / "model.tdim"
-    store.write_model(path, model)
-    back = store.read_model(path)
+    with mock.patch.object(store, "_BLOCK_BYTES", block_bytes):
+        store.write_model(path, model)
+        back = store.read_model(path)
+    # on disk, each weight is its (fan_out, fan_in) transpose, row-major
+    dims = model.layer_dims
+    layers = [w.T.tobytes() + b.tobytes() for w, b in zip(model.weights, model.biases)]
+    assert path.read_bytes() == struct.pack(f"<4sII{len(dims)}I", b"TDIM", 1, len(dims),
+                                            *dims) + b"".join(layers)
     assert back.layer_dims == model.layer_dims
     for got, want in zip(back.weights + back.biases, model.weights + model.biases):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reference import (finite_difference_grads, max_grad_rel_error, reference_train,
-                       scaled_adam, textbook_adam)
+from reference import (dense_forward, finite_difference_grads, max_grad_rel_error,
+                       reference_train, scaled_adam, textbook_adam)
 from tdi import forward, mlp
 from tdi.config import SimConfig
 
@@ -22,7 +22,7 @@ def small_f64_model(dims, seed=0):
 def test_init_default_architecture_shapes():
     model = mlp.init_model([8000, 1024, 512, 256, 4096], seed=0)
     shapes = [w.shape for w in model.weights]
-    assert shapes == [(1024, 8000), (512, 1024), (256, 512), (4096, 256)]
+    assert shapes == [(8000, 1024), (1024, 512), (512, 256), (256, 4096)]
     assert model.layer_dims == [8000, 1024, 512, 256, 4096]
 
 
@@ -34,14 +34,17 @@ def test_init_deterministic():
 
 
 def test_init_matches_whole_matrix_draw():
-    # drawn block by block, the bytes are those of one draw per weight
-    dims = [mlp.ADAM_BLOCK // 16 + 3, 40, 3]
+    # drawn block by block, each weight is the transpose of one (fan_out, fan_in)
+    # draw; the first layer's draw rows span several per block, the second's
+    # one each, and the third's rows are longer than a block
+    dims = [mlp.ADAM_BLOCK // 16 + 3, 40, mlp.ADAM_BLOCK + 5, 3]
     model = mlp.init_model(dims, seed=11)
     rng = np.random.default_rng(11)
     for w, (fan_in, fan_out) in zip(model.weights, zip(dims[:-1], dims[1:])):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         want = rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(np.float32)
-        assert w.tobytes() == want.tobytes()
+        assert w.shape == (fan_in, fan_out)
+        assert w.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 def test_init_peak_memory_is_parameters_plus_one_block(traced_peak):
@@ -103,6 +106,63 @@ def test_forward_batched_matches_single():
     batch = mlp.forward(model, x)
     for i in range(4):
         np.testing.assert_allclose(batch[i], mlp.forward(model, x[i]), rtol=1e-15)
+
+
+LIT_PATTERNS = ("none", "first", "last", "gap_under", "gap_at", "gap_over", "dense",
+                "sparse")
+
+
+@st.composite
+def lit_batches(draw, pattern, rows):
+    """(x, lit): `rows` inputs in [0, 1] whose columns lit in some row follow `pattern`."""
+    n_in = draw(st.integers(mlp.RUN_GAP + 3, 4 * mlp.RUN_GAP))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    lit = np.zeros(n_in, dtype=bool)
+    if pattern == "first":
+        lit[0] = True
+    elif pattern == "last":
+        lit[-1] = True
+    elif pattern.startswith("gap"):
+        # two lit columns with just under, exactly or just over RUN_GAP unlit ones between
+        gap = mlp.RUN_GAP + {"gap_under": -1, "gap_at": 0, "gap_over": 1}[pattern]
+        start = draw(st.integers(0, n_in - gap - 2))
+        lit[[start, start + gap + 1]] = True
+    elif pattern == "dense":
+        lit[:] = True
+    elif pattern == "sparse":
+        lit = rng.random(n_in) < draw(st.floats(0.0, 0.2))
+    x = np.where(lit & (rng.random((rows, n_in)) < 0.5), rng.random((rows, n_in)), 0.0)
+    x[rng.integers(rows), lit] = rng.uniform(0.5, 1.0, int(lit.sum()))  # lit in some row
+    return x, lit
+
+
+@pytest.mark.parametrize("pattern", LIT_PATTERNS)
+@given(data=st.data(), single=st.booleans(), hidden=st.integers(1, 9),
+       n_out=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+def test_run_sliced_forward_matches_dense_float64(pattern, data, single, hidden, n_out,
+                                                  seed):
+    x, lit = data.draw(lit_batches(pattern, 1 if single else data.draw(st.integers(2, 5))))
+    model = mlp.init_model([x.shape[1], hidden, n_out], seed=seed)
+    rng = np.random.default_rng(seed)
+    for b in model.biases:
+        b[:] = rng.uniform(-1.0, 1.0, b.size)
+    runs = mlp._lit_runs(x)
+    covered = np.zeros_like(lit)
+    for start, stop in runs:
+        assert lit[start] and lit[stop - 1]
+        covered[start:stop] = True
+    # every lit column is in a run; runs are apart by RUN_GAP or more unlit columns
+    assert np.array_equal(covered & lit, lit)
+    assert all(b[0] - a[1] >= mlp.RUN_GAP for a, b in zip(runs, runs[1:]))
+    if pattern.startswith("gap"):
+        assert len(runs) == (1 if pattern == "gap_under" else 2)
+    x32 = x.astype(np.float32)
+    got = mlp.forward(model, x32[0] if single else x32)
+    want = dense_forward(model, x32)
+    np.testing.assert_allclose(got, want[0] if single else want, rtol=1e-5, atol=1e-5)
+    if not lit.any():                  # nothing lit: exactly the bias
+        first = mlp._first_layer(x32, model.weights[0], model.biases[0])
+        assert np.array_equal(first, np.tile(model.biases[0], (x.shape[0], 1)))
 
 
 def test_forward_rejects_bad_length():
@@ -304,7 +364,7 @@ HALF = mlp.MATMUL_BLOCK // 2
 def test_adam_factored_matches_dense_bytes(fan_out, fan_in, wide, tail, batch, seed):
     # `wide` puts the first weight's rows above half a block: 2- and 3-row blocks
     if wide:
-        fan_out, fan_in = 1 + fan_out % 7, HALF + fan_in
+        fan_in, fan_out = 1 + fan_in % 7, HALF + fan_out
     dims = [fan_in, fan_out] + ([3] if tail else [])
     rng = np.random.default_rng(seed)
     dense, factored = mlp.init_model(dims, seed=seed), mlp.init_model(dims, seed=seed)
@@ -337,13 +397,13 @@ def test_row_blocks_have_two_rows_and_about_a_block():
 
 
 def test_adam_nonfinite_in_last_factored_row_block_names_shape_and_step():
-    model = mlp.init_model([4101, 150, 3], seed=0)  # first weight: three 50-row blocks
-    assert len(mlp._row_bounds(150, 4101)) == 4
+    model = mlp.init_model([4101, 150, 3], seed=0)  # first weight: three row blocks
+    assert len(mlp._row_bounds(4101, 150)) == 4
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 1, (8, 4101)).astype(np.float32)
     s = rng.uniform(0, 1, (8, 3)).astype(np.float32)
     _, grads = mlp._backward(model, x, s)
-    grads[0][0][:, -1] = np.nan                # only the weight's last row
+    grads[0][1][:, -1] = np.nan                # only the weight's last row
     state = mlp.AdamState.zeros_like(model)
     with pytest.raises(mlp.TrainingDivergedError, match="weight 0 at step 4"):
         mlp.adam_step(model, grads, state, t=4, config=mlp.TrainConfig())
@@ -512,7 +572,7 @@ def test_train_with_dead_columns_tracks_full_width_training(seed, dead_share, ba
     got, hist = mlp.train((x, y), cfg, model=model)
     assert got is model
     # a dead column's gradient is zero at every step: its weights keep their bytes
-    assert got.weights[0][:, dead].tobytes() == init.weights[0][:, dead].tobytes()
+    assert got.weights[0][dead].tobytes() == init.weights[0][dead].tobytes()
     pairs = list(zip(got.weights + got.biases, want.weights + want.biases))
     if not dead.any():
         assert all(a.tobytes() == b.tobytes() for a, b in pairs)
@@ -525,9 +585,9 @@ def test_train_with_dead_columns_tracks_full_width_training(seed, dead_share, ba
 def test_train_peak_memory_with_dead_columns_is_below_three_parameter_sets(traced_peak,
                                                                              stride):
     # as test_train_peak_memory_is_three_parameter_sets, with every stride-th
-    # input column dead (a quarter, half, all): their moments go and a copy
-    # of their weights comes in, so the bound sits below that test's by the
-    # dead columns' bytes, however few of them there are
+    # input column dead (a quarter, half, all): the moments of their weight
+    # rows go and a copy of those rows comes in, so the bound sits below that
+    # test's by the dead rows' bytes, however few of them there are
     dims = [4096, 512, 64]
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 1, (128, dims[0])).astype(np.float32)
@@ -542,22 +602,24 @@ def test_train_peak_memory_with_dead_columns_is_below_three_parameter_sets(trace
 
 @given(rows=st.integers(1, 160), width=st.integers(1, 5000), live_share=st.floats(0.0, 1.0),
        seed=st.integers(0, 2 ** 16))
-@example(rows=150, width=4101, live_share=0.5, seed=0)     # three row blocks
+@example(rows=150, width=4101, live_share=0.5, seed=0)     # several row blocks
 @example(rows=1, width=3, live_share=0.0, seed=1)
 def test_packed_columns_unpack_into_place(rows, width, live_share, seed):
+    # an input column's weights are one row of the input-major first weight;
+    # `width` input columns, each of `rows` weights
     rng = np.random.default_rng(seed)
-    w = rng.standard_normal((rows, width)).astype(np.float32)
+    w = rng.standard_normal((width, rows)).astype(np.float32)
     before = w.copy()
     lit = rng.random(width) < live_share
     live, dead = np.flatnonzero(lit), np.flatnonzero(~lit)
-    saved = w.take(dead, axis=1)
-    packed = mlp._pack_columns(w, live)
+    saved = w.take(dead, axis=0)
+    packed = mlp._pack_rows(w, live)
     assert packed.flags.c_contiguous and (np.shares_memory(packed, w) or not live.size)
-    assert packed.tobytes() == before[:, live].tobytes()
+    assert packed.tobytes() == before[live].tobytes()
     packed += 1.0                                  # as training moves them
-    mlp._unpack_columns(w, packed, live, dead, saved)
-    assert w[:, live].tobytes() == (before[:, live] + 1.0).tobytes()
-    assert w[:, dead].tobytes() == before[:, dead].tobytes()
+    mlp._unpack_rows(w, live, dead, saved)
+    assert w[live].tobytes() == (before[live] + 1.0).tobytes()
+    assert w[dead].tobytes() == before[dead].tobytes()
 
 
 def test_train_on_all_zero_inputs_keeps_the_first_weight():
@@ -592,10 +654,10 @@ def test_train_diverging_with_dead_columns_writes_back_the_trained_columns(monke
     with pytest.raises(mlp.TrainingDivergedError, match="for weight 0 at step 3"):
         mlp.train((x, y), mlp.TrainConfig(epochs=2, batch_size=16, seed=4), model=model)
     first = model.weights[0]
-    assert trained[0].shape == (32, int((~dead).sum()))
-    assert first[:, ~dead].tobytes() == trained[0].tobytes()
-    assert not np.array_equal(first[:, ~dead], init.weights[0][:, ~dead])
-    assert first[:, dead].tobytes() == init.weights[0][:, dead].tobytes()
+    assert trained[0].shape == (int((~dead).sum()), 32)
+    assert first[~dead].tobytes() == trained[0].tobytes()
+    assert not np.array_equal(first[~dead], init.weights[0][~dead])
+    assert first[dead].tobytes() == init.weights[0][dead].tobytes()
 
 
 def test_train_rejects_bad_datasets():
@@ -668,7 +730,7 @@ def test_predict_shape_and_bounds():
 def test_predict_reshapes_row_major():
     cfg = SimConfig(img_w=16, img_h=8, bins=16)
     # bias-only model writes a recognizable gradient into the output vector
-    model = mlp.MlpModel(weights=[np.zeros((128, 16), dtype=np.float64)],
+    model = mlp.MlpModel(weights=[np.zeros((16, 128), dtype=np.float64)],
                          biases=[np.linspace(0, 1, 128)])
     img = mlp.predict(model, forward.Histogram(cfg.bin_width_s, np.zeros(16)), cfg)
     expected = (np.linspace(0, 1, 128).reshape(8, 16)) * cfg.z_max

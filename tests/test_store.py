@@ -3,12 +3,18 @@ import re
 import struct
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reference import dataset_file_bytes
 from tdi import atomic, forward, mlp, store
+
+# A v1 model file written when models held their weights output-major,
+# (fan_out, fan_in): init_model([9, 6, 4], seed=18) with each bias set to
+# arange(fan_out) / 8 - 0.25.
+TINY_V1_MODEL = Path(__file__).parent / "data" / "tiny_v1.tdim"
 
 
 def random_dataset(n=5, bins=32, w=4, h=4, seed=0):
@@ -204,6 +210,59 @@ def test_model_payload_mismatch(tmp_path):
     path.write_bytes(blob + b"\x00" * 4)
     with pytest.raises(store.HeaderMismatchError,
                        match=re.escape(f"{path}: 4 trailing parameter bytes")):
+        store.read_model(path)
+
+
+def test_model_fixture_reads_its_numbers_and_writes_back_its_bytes(tmp_path):
+    model = store.read_model(TINY_V1_MODEL)
+    assert model.layer_dims == [9, 6, 4]
+    assert [w.shape for w in model.weights] == [(9, 6), (6, 4)]
+    # numbers read from the file: its first row is output unit 0 over inputs 0..8
+    assert model.weights[0][:3, 0].tolist() == [-0.1273692399263382, 0.27501022815704346,
+                                                -0.27723899483680725]
+    assert model.weights[0][8, 5] == np.float32(-0.19213602)
+    assert model.weights[1][5, 3] == np.float32(0.25288975)
+    want = mlp.init_model([9, 6, 4], seed=18)
+    for b in want.biases:
+        b[:] = np.arange(b.size, dtype=np.float32) / 8 - 0.25
+    for got, exp in zip(model.weights + model.biases, want.weights + want.biases):
+        assert got.tobytes() == exp.tobytes()
+    # the output the file's model gave, to float32 rounding of its sums
+    np.testing.assert_allclose(mlp.forward(model, np.linspace(0, 1, 9)),
+                               [-0.9755359292030334, -0.08345702290534973,
+                                -0.07100537419319153, -0.3246138095855713], rtol=1e-6)
+    store.write_model(tmp_path / "back.tdim", model)
+    assert (tmp_path / "back.tdim").read_bytes() == TINY_V1_MODEL.read_bytes()
+
+
+@pytest.mark.parametrize("layer, part, value", [(0, "weights", np.nan),
+                                                (1, "weights", -np.inf),
+                                                (0, "biases", np.nan),
+                                                (1, "biases", np.inf)])
+def test_model_with_a_nonfinite_parameter_fails_the_read(tmp_path, layer, part, value):
+    model = mlp.init_model([16, 8, 4], seed=0)
+    getattr(model, part)[layer][..., 3] = value
+    path = tmp_path / "bad.tdim"
+    store.write_model(path, model)
+    with pytest.raises(store.StoreError,
+                       match=re.escape(f"{path}: layer {layer} {part} hold NaN or inf")):
+        store.read_model(path)
+
+
+def test_model_with_nan_in_an_unlit_row_fails_the_read(tmp_path):
+    # a NaN weight for input bin 11: a histogram that leaves bin 11 unlit
+    # skips that row, a batch that lights it propagates the NaN, so a single
+    # predict and a batched evaluation would disagree; the read refuses it
+    model = mlp.init_model([16, 8, 4], seed=0)
+    model.weights[0][11, 5] = np.nan
+    x = np.zeros((2, 16), dtype=np.float32)
+    x[0, 2] = 1.0
+    assert np.isfinite(mlp.forward(model, x[0])).all()
+    x[1, 11] = 1.0
+    assert not np.isfinite(mlp.forward(model, x)).any()
+    path = tmp_path / "nan.tdim"
+    store.write_model(path, model)
+    with pytest.raises(store.StoreError, match="layer 0 weights hold NaN or inf"):
         store.read_model(path)
 
 
