@@ -10,7 +10,7 @@ import pathlib
 
 import numpy as np
 
-from tdi import forward, scene
+from tdi import forward, scene, store
 from tdi.config import SimConfig
 
 out_dir = pathlib.Path("demo_output/histograms")
@@ -43,5 +43,5 @@ print(f"noise level 2 perturbs the bins by about 10% of the mean occupied bin")
 
 for name, h in (("ideal", ideal), ("blurred", blurred), ("noisy", noisy)):
     path = out_dir / f"{name}.csv"
-    forward.write_histogram_csv(h, path)
+    store.write_histogram_csv(h, path)
     print(f"wrote {path}")

@@ -15,8 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, forward, metrics, mlp, pipeline, store
-from .atomic import write_atomic
+from . import __version__, metrics, mlp, pipeline, store
 from .config import (NOISE_FRACTIONS, REFLECTIVITY_TRAININGS, SETTINGS, SWEEP_DEFAULTS,
                      format_setting, owned, parse_range, read_settings)
 
@@ -45,7 +44,7 @@ def write_manifest(out_dir, command: str, run: dict, *resolved) -> str:
     lines = [f"# run manifest, written {_utc_now()}"]
     lines += [f"{k} = {format_setting(values[k])}" for k in SETTINGS if values.get(k) is not None]
     path = os.path.join(out_dir, "manifest.cfg")
-    write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
+    store.write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
     return path
 
 
@@ -104,25 +103,22 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = store.read_model(args.model)
     ds = store.read_dataset(args.dataset)
-    if model.layer_dims[0] != ds.bins:
-        raise ValueError(f"model expects {model.layer_dims[0]} bins, dataset has {ds.bins}")
-    if model.layer_dims[-1] != ds.img_w * ds.img_h:
-        raise ValueError("model output size does not match dataset image size")
-    os.makedirs(args.out, exist_ok=True)
-
     x, y = ds.histograms, ds.images
     per_pair, overall = pipeline.evaluate_model(model, x, y, ds.img_w, ds.img_h)
+    os.makedirs(args.out, exist_ok=True)
     rows = [(i, repr(v)) for i, v in enumerate(per_pair)] + [("overall", repr(overall))]
     store.write_csv(os.path.join(args.out, "ssim.csv"), "pair,mean_ssim", rows)
 
-    preds = np.clip(mlp.forward(model, x[: args.gallery]), 0.0, 1.0)
-    for i in range(min(args.gallery, len(ds))):
-        pred = preds[i].reshape(ds.img_h, ds.img_w).astype(np.float64)
-        truth = y[i].reshape(ds.img_h, ds.img_w).astype(np.float64)
-        smap = metrics.ssim(pred, truth).map
-        store.export_depth_pgm(pred, os.path.join(args.out, f"{i:04d}_pred.pgm"))
-        store.export_depth_pgm(truth, os.path.join(args.out, f"{i:04d}_truth.pgm"))
-        store.export_ssim_pgm(smap, os.path.join(args.out, f"{i:04d}_ssim.pgm"))
+    if args.gallery:
+        shape = (-1, ds.img_h, ds.img_w)
+        preds = np.clip(mlp.forward(model, x[: args.gallery]), 0.0, 1.0).reshape(shape)
+        preds = preds.astype(np.float64)
+        truths = y[: args.gallery].reshape(shape).astype(np.float64)
+        maps = metrics.ssim(preds, truths).map   # one stacked call, same maps as per image
+        for i, (pred, truth, smap) in enumerate(zip(preds, truths, maps)):
+            store.export_depth_pgm(pred, os.path.join(args.out, f"{i:04d}_pred.pgm"))
+            store.export_depth_pgm(truth, os.path.join(args.out, f"{i:04d}_truth.pgm"))
+            store.export_ssim_pgm(smap, os.path.join(args.out, f"{i:04d}_ssim.pgm"))
     write_manifest(args.out, "eval", _settings(args))
     print(f"overall mean SSIM over {len(ds)} pairs: {overall:.4f}")
     return 0
@@ -132,7 +128,7 @@ def cmd_predict(args) -> int:
     model = store.read_model(args.model)
     settings = _settings(args)
     recipe = _recipe(args.preset, settings)
-    h = forward.read_histogram_csv(args.histogram)
+    h = store.read_histogram_csv(args.histogram)
     os.makedirs(args.out, exist_ok=True)
     img = mlp.predict(model, h, recipe.sim)
     out_path = os.path.join(args.out, "prediction.pgm")

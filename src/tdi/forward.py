@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import write_atomic
 from .config import NOISE_FRACTIONS, SPEED_OF_LIGHT, SimConfig
 from .scene import DepthImage, Overlay, pixel_offsets
 
@@ -36,8 +35,10 @@ class Histogram:
         self.counts = np.asarray(self.counts, dtype=np.float64)
         if self.counts.ndim != 1 or self.counts.size < 2:
             raise ValueError("counts must be a 1-D array with at least 2 bins")
-        if self.bin_width_s <= 0:
-            raise ValueError("bin_width_s must be positive")
+        if not (math.isfinite(self.bin_width_s) and self.bin_width_s > 0):
+            raise ValueError(f"bin_width_s must be finite and positive, got {self.bin_width_s!r}")
+        if not math.isfinite(self.t0_s):
+            raise ValueError(f"t0_s must be finite, got {self.t0_s!r}")
         # min and max propagate NaN, so this needs no full-size mask
         if not (self.counts.min() >= 0.0 and math.isfinite(self.counts.max())):
             raise ValueError("counts must be finite and >= 0")
@@ -251,41 +252,3 @@ def normalize_histogram(h: Histogram) -> np.ndarray:
     if peak == 0.0:
         return np.zeros(h.bins, dtype=np.float64)
     return h.counts / peak
-
-
-def write_histogram_csv(h: Histogram, path) -> None:
-    """CSV export: header `bin_start_s,count`, one row per bin; written atomically."""
-    rows = "".join(f"{float(t)!r},{float(c)!r}\n" for t, c in zip(h.bin_starts(), h.counts))
-    write_atomic(path, [("bin_start_s,count\n" + rows).encode("utf-8")])
-
-
-def read_histogram_csv(path) -> Histogram:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "bin_start_s,count":
-            raise ValueError(f"unexpected histogram CSV header: {header!r}")
-        starts, counts = [], []
-        for number, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                t, c = (float(v) for v in line.split(","))
-            except ValueError:
-                raise ValueError(f"histogram CSV line {number}: expected two numbers "
-                                 f"'bin_start_s,count', got {line!r}") from None
-            starts.append(t)
-            counts.append(c)
-    if len(starts) < 2:
-        raise ValueError("histogram CSV needs at least 2 bins")
-    # width from the end points: the first gap alone carries the rounding of
-    # t0, which grows k-fold by bin k
-    width = (starts[-1] - starts[0]) / (len(starts) - 1)
-    deviation = np.abs(np.asarray(starts) - (starts[0] + np.arange(len(starts)) * width))
-    uneven = np.flatnonzero(deviation > 1e-9 * abs(width))
-    if uneven.size:
-        k = int(uneven[0])
-        raise ValueError(f"histogram CSV bins are unevenly spaced: row {k} starts at "
-                         f"{starts[k]!r} s, expected t0 + {k} * width = "
-                         f"{starts[0] + k * width!r} s")
-    return Histogram(width, np.asarray(counts), t0_s=starts[0])

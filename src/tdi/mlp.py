@@ -497,7 +497,7 @@ def predict(model: MlpModel, h: Histogram, cfg: SimConfig) -> DepthImage:
     """
     if h.bins != model.layer_dims[0]:
         raise ValueError(f"histogram has {h.bins} bins, model expects {model.layer_dims[0]}")
-    # the tolerance read_histogram_csv allows on each bin start
+    # the tolerance store.read_histogram_csv allows on each bin start
     if abs(h.bin_width_s - cfg.bin_width_s) > 1e-9 * cfg.bin_width_s:
         raise ValueError(f"histogram bin width {h.bin_width_s!r} s differs from the "
                          f"configured {cfg.bin_width_s!r} s")

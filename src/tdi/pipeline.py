@@ -275,11 +275,22 @@ def split_dataset(ds: store.Dataset, n_test: int, seed: int):
 
 def evaluate_model(model: mlp.MlpModel, x: np.ndarray, y: np.ndarray,
                    img_w: int, img_h: int) -> tuple[np.ndarray, float]:
-    """Mean SSIM per test pair (prediction vs truth) and the overall mean."""
+    """Mean SSIM per test pair (prediction vs truth) and the overall mean.
+
+    Raises ValueError when the model's output width, img_w * img_h and the
+    width of y's rows disagree, or when x and y hold different pair counts.
+    """
+    y = np.asarray(y)
+    n_out = model.layer_dims[-1]
+    if not n_out == img_w * img_h == y.shape[-1]:
+        raise ValueError(f"model outputs {n_out} pixels, images are {img_w} x {img_h} = "
+                         f"{img_w * img_h} pixels, y rows hold {y.shape[-1]}")
+    if len(x) != len(y):
+        raise ValueError(f"{len(x)} histograms but {len(y)} images")
     outputs = mlp.forward(model, np.asarray(x, dtype=model.dtype))
     pairs = np.empty((outputs.shape[0], 2, img_h, img_w))
     pairs[:, 0] = np.clip(outputs, 0.0, 1.0).reshape(-1, img_h, img_w)
-    pairs[:, 1] = np.asarray(y).reshape(-1, img_h, img_w)
+    pairs[:, 1] = y.reshape(-1, img_h, img_w)
     return metrics.batch_ssim(pairs)
 
 

@@ -261,20 +261,6 @@ def generate_silhouettes(count: int, seed: int) -> list:
     return out
 
 
-def silhouette_from_mask(mask: np.ndarray, id: int = 0,
-                         native_height_m: float = 1.75) -> Silhouette:
-    """Wrap a user-supplied binary raster (e.g. loaded from a graymap)."""
-    return Silhouette(id=id, mask=np.asarray(mask) > 0, native_height_m=native_height_m)
-
-
-def silhouette_from_pgm(path, id: int = 0, native_height_m: float = 1.75) -> Silhouette:
-    """Load an 8-bit binary graymap and binarize it at 128."""
-    from .store import load_silhouette_mask
-
-    return silhouette_from_mask(load_silhouette_mask(path), id=id,
-                                native_height_m=native_height_m)
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 

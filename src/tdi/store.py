@@ -1,4 +1,7 @@
-"""Bit-exact persistence for datasets and models, plus graymap/CSV export.
+"""All file I/O of the package: datasets, models, graymaps, silhouettes,
+histogram CSV, other CSV, and `write_atomic`, through which every file is
+written (the run manifest too). Only `config.read_settings`, which reads a
+`--config` file, opens a file elsewhere.
 
 Dataset file ("TDID"): 24-byte header
     magic 4s | version u32 | bins u32 | img_w u32 | img_h u32 | n_records u32
@@ -7,27 +10,32 @@ img_w*img_h float32 normalized image values. Everything little-endian.
 
 Model file ("TDIM"): magic 4s | version u32 | n_dims u32 | n_dims * u32 dims,
 then per layer: weights row-major float32, (fan_out, fan_in) on disk,
-transposed on read/write; biases float32. A model holds its weights
-input-major, (fan_in, fan_out), so each weight passes through one reused
-buffer of about _BLOCK_BYTES, a block of on-disk rows at a time, in both
-directions. A weight or bias that is not finite fails the read.
+transposed on read/write; biases float32. On disk a weight is fan_out
+records of fan_in floats, so it streams like dataset records. A model holds
+its weights input-major, (fan_in, fan_out), so each block of records is
+transposed through one reused buffer. A zero layer width, or a weight or
+bias that is not finite, fails the read.
 
-Writes go through a temp file + atomic rename, so readers never observe a
-partially written file. Dataset records are streamed through one reused
-buffer of about _BLOCK_BYTES in both directions, so no whole-payload copy
-is ever made.
+Every write goes through `write_atomic`: a temp file beside the target,
+then one rename, so readers never observe a partially written file and a
+failed write leaves the previous file as it was. Dataset records and
+weight rows are streamed through one reused buffer of about _BLOCK_BYTES
+in both directions, so no whole-payload copy is ever made.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import StoreError, write_atomic
+from .forward import Histogram
 from .mlp import MlpModel
+from .scene import Silhouette
 
 DATASET_MAGIC = b"TDID"
 MODEL_MAGIC = b"TDIM"
@@ -40,6 +48,10 @@ _BLOCK_BYTES = 1 << 20
 # Source rows per tile of a transposing copy, so that a tile's strided
 # reads stay in cache.
 _TILE_ROWS = 256
+
+
+class StoreError(Exception):
+    """Base class for persistence failures."""
 
 
 class BadMagicError(StoreError):
@@ -92,6 +104,28 @@ def _finite(arr: np.ndarray) -> bool:
     return not arr.size or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
+def write_atomic(path, chunks) -> None:
+    """Write an iterable of chunks (bytes or C-contiguous arrays) to `path`, in order.
+
+    The iterable is consumed lazily: each chunk is written before the next is
+    asked for, so a generator may hand out one reused buffer. If it raises,
+    the previous file stays as it was. The temp name is unique per process
+    and thread, so concurrent writers of one path never share a temp file;
+    the last rename wins.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise StoreError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _read_exact(fh, n: int, path, what: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
@@ -106,7 +140,11 @@ def _read_into(fh, arr: np.ndarray, path, what: str) -> None:
 
 
 def _record_blocks(n: int, record_len: int):
-    """(first row, buffer) per block of n records; every block reuses one buffer."""
+    """(first row, buffer) per block of n records; every block reuses one buffer.
+
+    A weight is walked as its on-disk rows: _record_blocks(fan_out, fan_in)
+    pairs the buffer at `lo` with the columns w[:, lo: lo + len(buffer)].
+    """
     rows = max(1, _BLOCK_BYTES // max(1, 4 * record_len))
     block = np.empty((min(n, rows), record_len), dtype=_F4)
     for lo in range(0, n, rows):
@@ -155,21 +193,6 @@ def read_dataset(path) -> Dataset:
     return Dataset(histograms=histograms, images=images, img_w=img_w, img_h=img_h)
 
 
-def _weight_blocks(w: np.ndarray):
-    """(columns, buffer) per block of on-disk rows of the input-major weight w.
-
-    On disk, row j of a weight is column j of w. Each block pairs the
-    columns w[:, r0:r1] with a (r1 - r0, fan_in) buffer; every block reuses
-    one buffer of about _BLOCK_BYTES.
-    """
-    fan_in, fan_out = w.shape
-    step = max(1, _BLOCK_BYTES // (4 * fan_in))
-    block = np.empty((min(step, fan_out), fan_in), dtype=_F4)
-    for r0 in range(0, fan_out, step):
-        r1 = min(r0 + step, fan_out)
-        yield w[:, r0:r1], block[: r1 - r0]
-
-
 def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
     """dst[...] = src.T, _TILE_ROWS rows of src at a time."""
     for lo in range(0, dst.shape[1], _TILE_ROWS):
@@ -180,8 +203,8 @@ def _model_chunks(header: bytes, model):
     """The header, then per layer the weight's on-disk rows block by block and the bias."""
     yield header
     for w, b in zip(model.weights, model.biases):
-        for columns, block in _weight_blocks(w):
-            _transpose_into(block, columns)
+        for lo, block in _record_blocks(w.shape[1], w.shape[0]):
+            _transpose_into(block, w[:, lo: lo + len(block)])
             yield block
         yield np.ascontiguousarray(b, dtype=_F4)
 
@@ -203,6 +226,9 @@ def read_model(path):
         if n_dims < 2:
             raise HeaderMismatchError(f"{path}: model needs at least 2 layer dims, got {n_dims}")
         dims = struct.unpack(f"<{n_dims}I", _read_exact(fh, 4 * n_dims, path, "layer dims"))
+        if 0 in dims:
+            raise HeaderMismatchError(
+                f"{path}: layer dim {dims.index(0)} of {list(dims)} is 0")
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         expected = sum(4 * (dout * din + dout) for din, dout in zip(dims[:-1], dims[1:]))
         if size < expected:
@@ -212,11 +238,11 @@ def read_model(path):
         weights = [np.empty((din, dout), dtype=_F4) for din, dout in zip(dims[:-1], dims[1:])]
         biases = [np.empty(dout, dtype=_F4) for dout in dims[1:]]
         for layer, (w, b) in enumerate(zip(weights, biases)):
-            for columns, block in _weight_blocks(w):
+            for lo, block in _record_blocks(w.shape[1], w.shape[0]):
                 _read_into(fh, block, path, "weights")
                 if not _finite(block):
                     raise StoreError(f"{path}: layer {layer} weights hold NaN or inf")
-                _transpose_into(columns, block)
+                _transpose_into(w[:, lo: lo + len(block)], block)
             _read_into(fh, b, path, "biases")
             if not _finite(b):
                 raise StoreError(f"{path}: layer {layer} biases hold NaN or inf")
@@ -224,7 +250,7 @@ def read_model(path):
 
 
 # ---------------------------------------------------------------------------
-# Portable graymaps (binary P5) and CSV
+# Portable graymaps (binary P5), silhouettes and CSV
 
 
 def export_depth_pgm(img: np.ndarray, path) -> None:
@@ -289,15 +315,59 @@ def load_silhouette_mask(path) -> np.ndarray:
     return raw >= 128
 
 
+def read_silhouette(path, id: int = 0, native_height_m: float = 1.75) -> Silhouette:
+    """A silhouette from an 8-bit binary graymap, binarized at 128."""
+    return Silhouette(id=id, mask=load_silhouette_mask(path), native_height_m=native_height_m)
+
+
 def write_csv(path, header: str, rows) -> None:
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
     write_atomic(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
-def export_ssim_csv(ssim_map: np.ndarray, path) -> None:
-    """Write an SSIM map as CSV, one image row per line."""
-    arr = np.asarray(ssim_map, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D SSIM map")
-    text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in arr)
-    write_atomic(path, [text.encode("utf-8")])
+def write_histogram_csv(h: Histogram, path) -> None:
+    """CSV export: header `bin_start_s,count`, one row per bin; written atomically."""
+    rows = "".join(f"{float(t)!r},{float(c)!r}\n" for t, c in zip(h.bin_starts(), h.counts))
+    write_atomic(path, [("bin_start_s,count\n" + rows).encode("utf-8")])
+
+
+def read_histogram_csv(path) -> Histogram:
+    """A histogram from `bin_start_s,count` rows: finite, evenly spaced starts
+    and finite counts >= 0.
+
+    A bad row is named by its file line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "bin_start_s,count":
+            raise ValueError(f"unexpected histogram CSV header: {header!r}")
+        starts, counts, lines = [], [], []
+        for number, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                t, c = (float(v) for v in line.split(","))
+            except ValueError:
+                raise ValueError(f"histogram CSV line {number}: expected two numbers "
+                                 f"'bin_start_s,count', got {line!r}") from None
+            if not (math.isfinite(t) and math.isfinite(c) and c >= 0):
+                raise ValueError(f"histogram CSV line {number}: expected a finite start "
+                                 f"and a finite count >= 0, got {line!r}")
+            starts.append(t)
+            counts.append(c)
+            lines.append(number)
+    if len(starts) < 2:
+        raise ValueError("histogram CSV needs at least 2 bins")
+    # width from the end points: the first gap alone carries the rounding of
+    # t0, which grows k-fold by bin k
+    width = (starts[-1] - starts[0]) / (len(starts) - 1)
+    deviation = np.abs(np.asarray(starts) - (starts[0] + np.arange(len(starts)) * width))
+    # negated so that a NaN deviation (an overflowing width) counts as uneven
+    uneven = np.flatnonzero(~(deviation <= 1e-9 * abs(width)))
+    if uneven.size:
+        k = int(uneven[0])
+        raise ValueError(f"histogram CSV line {lines[k]}: bins are unevenly spaced, "
+                         f"start {starts[k]!r} s, expected t0 + {k} * width = "
+                         f"{starts[0] + k * width!r} s")
+    return Histogram(width, np.asarray(counts), t0_s=starts[0])

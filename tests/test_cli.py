@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tdi import cli, forward, mlp, store
+from tdi import cli, forward, metrics, mlp, store
 from tdi.config import SimConfig
 
 TINY_CONFIG = """
@@ -136,7 +136,7 @@ def test_train_eval_predict_round_trip(tmp_path, tiny_config):
     cfg = SimConfig(img_w=16, img_h=16, bins=400, seed=5)
     h = forward.Histogram(cfg.bin_width_s, np.asarray(ds.histograms[0], np.float64))
     hist_csv = tmp_path / "one.csv"
-    forward.write_histogram_csv(h, hist_csv)
+    store.write_histogram_csv(h, hist_csv)
     pred_dir = tmp_path / "pred"
     assert run(["predict", "--model", train_dir / "model.tdim",
                 "--histogram", hist_csv, "--out", pred_dir,
@@ -149,12 +149,12 @@ def test_predict_rejects_histogram_of_another_bin_width(tmp_path, tiny_config, c
     cfg = SimConfig(img_w=16, img_h=16, bins=400, seed=5)
     store.write_model(tmp_path / "model.tdim", mlp.init_model([400, 8, 256], seed=0))
     hist_csv = tmp_path / "wide.csv"
-    forward.write_histogram_csv(forward.Histogram(3 * cfg.bin_width_s, np.ones(400)),
-                                hist_csv)
+    store.write_histogram_csv(forward.Histogram(3 * cfg.bin_width_s, np.ones(400)),
+                              hist_csv)
     assert run(["predict", "--model", tmp_path / "model.tdim", "--histogram", hist_csv,
                 "--out", tmp_path / "pred", "--config", tiny_config]) == 1
     err = capsys.readouterr().err
-    assert repr(forward.read_histogram_csv(hist_csv).bin_width_s) in err
+    assert repr(store.read_histogram_csv(hist_csv).bin_width_s) in err
     assert repr(cfg.bin_width_s) in err
     assert not (tmp_path / "pred" / "prediction.pgm").exists()
 
@@ -301,6 +301,36 @@ def test_eval_gallery_zero_and_repeatable(tmp_path, tiny_config):
                     "--out", tmp_path / name, "--gallery", "0"]) == 0
     assert not list((tmp_path / "e1").glob("*.pgm"))
     assert (tmp_path / "e1/ssim.csv").read_text() == (tmp_path / "e2/ssim.csv").read_text()
+
+
+def test_eval_rejects_a_model_of_another_output_size(tmp_path, tiny_config, capsys):
+    data_dir = tmp_path / "data"
+    run(["gen", "--out", data_dir, "--config", tiny_config])
+    store.write_model(tmp_path / "narrow.tdim", mlp.init_model([400, 8, 16], seed=0))
+    assert run(["eval", "--model", tmp_path / "narrow.tdim",
+                "--dataset", data_dir / "dataset.tdid", "--out", tmp_path / "e"]) == 1
+    err = capsys.readouterr().err
+    assert "model outputs 16 pixels, images are 16 x 16 = 256 pixels, y rows hold 256" in err
+    assert not (tmp_path / "e").exists()
+
+
+def test_eval_gallery_ssim_maps_match_per_image_ssim(tmp_path, tiny_config):
+    data_dir = tmp_path / "data"
+    run(["gen", "--out", data_dir, "--config", tiny_config])
+    model = mlp.init_model([400, 8, 256], seed=0)
+    store.write_model(tmp_path / "model.tdim", model)
+    assert run(["eval", "--model", tmp_path / "model.tdim",
+                "--dataset", data_dir / "dataset.tdid", "--out", tmp_path / "e",
+                "--gallery", "3"]) == 0
+    ds = store.read_dataset(data_dir / "dataset.tdid")
+    preds = np.clip(mlp.forward(model, ds.histograms[:3]), 0.0, 1.0)
+    for i in range(3):
+        pred = preds[i].reshape(16, 16).astype(np.float64)
+        truth = ds.images[i].reshape(16, 16).astype(np.float64)
+        store.export_ssim_pgm(metrics.ssim(pred, truth).map, tmp_path / "one.pgm")
+        assert ((tmp_path / "e" / f"{i:04d}_ssim.pgm").read_bytes()
+                == (tmp_path / "one.pgm").read_bytes())
+    assert not (tmp_path / "e" / "0003_ssim.pgm").exists()
 
 
 def test_eval_rejects_a_negative_gallery(tmp_path, capsys):

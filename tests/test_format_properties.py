@@ -4,8 +4,9 @@
 bit for any shape, an empty dataset included, and with any block size, and
 a model's file must hold each weight transposed, (fan_out, fan_in). A
 histogram CSV must read back its counts and its first bin start, also when
-that is not 0. SSIM must be symmetric to the last bit and score an image
-against itself as exactly 1.
+that is not 0, and refuse a start that is not finite, naming its line. SSIM
+must be symmetric to the last bit and score an image against itself as
+exactly 1.
 """
 
 import struct
@@ -80,11 +81,25 @@ def test_histogram_csv_round_trips_a_late_or_early_start(tmp_path_factory, count
     # t0 up to a million bins either side of 0; a 1 us start at 1.25 ps bins is 800 000
     h = forward.Histogram(width, counts, t0_s=offset * width)
     path = tmp_path_factory.mktemp("csv") / "hist.csv"
-    forward.write_histogram_csv(h, path)
-    back = forward.read_histogram_csv(path)
+    store.write_histogram_csv(h, path)
+    back = store.read_histogram_csv(path)
     assert back.t0_s == h.t0_s
     assert back.bin_width_s == pytest.approx(width, rel=1e-9)
     assert back.counts.tobytes() == h.counts.tobytes()
+
+
+@given(bins=st.integers(2, 40), where=st.sampled_from(["first", "middle", "last"]),
+       bad=st.sampled_from(["nan", "inf", "-inf"]))
+def test_histogram_csv_refuses_a_nonfinite_start_naming_its_line(tmp_path_factory, bins,
+                                                                  where, bad):
+    path = tmp_path_factory.mktemp("csv") / "hist.csv"
+    store.write_histogram_csv(forward.Histogram(1e-11, np.ones(bins)), path)
+    lines = path.read_text().splitlines()
+    row = {"first": 0, "middle": bins // 2, "last": bins - 1}[where]
+    lines[1 + row] = f"{bad},1.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"histogram CSV line {row + 2}: "):
+        store.read_histogram_csv(path)
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference import sum_expected_photons
-from tdi import forward, scene
+from tdi import forward, scene, store
 from tdi.config import NOISE_FRACTIONS, SPEED_OF_LIGHT, SimConfig
 
 C = SPEED_OF_LIGHT
@@ -353,14 +353,23 @@ def test_normalize_histogram_all_zero():
     assert np.all(vec == 0.0)
 
 
+@pytest.mark.parametrize("width, t0, bad", [
+    (math.nan, 0.0, "bin_width_s"), (math.inf, 0.0, "bin_width_s"),
+    (-math.inf, 0.0, "bin_width_s"), (0.0, 0.0, "bin_width_s"),
+    (1e-11, math.nan, "t0_s"), (1e-11, math.inf, "t0_s"), (1e-11, -math.inf, "t0_s")])
+def test_histogram_rejects_nonfinite_geometry(width, t0, bad):
+    with pytest.raises(ValueError, match=f"{bad} must be finite"):
+        forward.Histogram(width, np.ones(4), t0_s=t0)
+
+
 def test_histogram_csv_round_trip(tmp_path):
     h = bump_histogram(bins=128)
     path = tmp_path / "hist.csv"
-    forward.write_histogram_csv(h, path)
+    store.write_histogram_csv(h, path)
     text = path.read_text().splitlines()
     assert text[0] == "bin_start_s,count"
     assert len(text) == 129
-    back = forward.read_histogram_csv(path)
+    back = store.read_histogram_csv(path)
     assert back.bin_width_s == pytest.approx(h.bin_width_s, rel=1e-12)
     np.testing.assert_allclose(back.counts, h.counts, rtol=0, atol=0)
 
@@ -368,32 +377,42 @@ def test_histogram_csv_round_trip(tmp_path):
 def test_histogram_csv_rejects_uneven_bins(tmp_path):
     h = bump_histogram(bins=16)
     path = tmp_path / "hist.csv"
-    forward.write_histogram_csv(h, path)
+    store.write_histogram_csv(h, path)
     lines = path.read_text().splitlines()
     t, c = lines[1 + 9].split(",")
     lines[1 + 9] = f"{float(t) + 0.3 * h.bin_width_s!r},{c}"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="unevenly spaced: row 9 "):
-        forward.read_histogram_csv(path)
+    with pytest.raises(ValueError, match="line 11: bins are unevenly spaced"):
+        store.read_histogram_csv(path)
 
 
-@pytest.mark.parametrize("row", ["1e-11,2,3", "abc,1", "1e-11", "1e-11;2"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_histogram_csv_overflowing_span_names_a_line(tmp_path):
+    # the span overflows to an infinite width, so every deviation is NaN
+    path = tmp_path / "hist.csv"
+    path.write_text("bin_start_s,count\n-1e308,1\n0.0,1\n1e308,1\n")
+    with pytest.raises(ValueError, match="line 2: bins are unevenly spaced"):
+        store.read_histogram_csv(path)
+
+
+@pytest.mark.parametrize("row", ["1e-11,2,3", "abc,1", "1e-11", "1e-11;2", "1e-11,-2",
+                                 "1e-11,nan", "inf,1"])
 def test_histogram_csv_bad_row_names_its_line(tmp_path, row):
     path = tmp_path / "hist.csv"
-    forward.write_histogram_csv(bump_histogram(bins=8), path)
+    store.write_histogram_csv(bump_histogram(bins=8), path)
     lines = path.read_text().splitlines()
     lines[4] = row
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"line 5: .*{row!r}"):
-        forward.read_histogram_csv(path)
+        store.read_histogram_csv(path)
 
 
 def test_histogram_csv_offset_start_reads_back(tmp_path):
     # a late first bin: the spacing check must not trip on rounding of t0
     h = forward.Histogram(1.25e-12, bump_histogram(bins=8000).counts, t0_s=1e-6)
     path = tmp_path / "hist.csv"
-    forward.write_histogram_csv(h, path)
-    back = forward.read_histogram_csv(path)
+    store.write_histogram_csv(h, path)
+    back = store.read_histogram_csv(path)
     assert back.t0_s == h.t0_s
     assert back.bin_width_s == pytest.approx(h.bin_width_s, rel=1e-12)
 

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -286,6 +287,21 @@ def test_evaluate_model_shapes(tiny_recipe):
     per, overall = pipeline.evaluate_model(model, x_te, y_te, ds.img_w, ds.img_h)
     assert per.shape == (6,)
     assert overall == pytest.approx(per.mean())
+
+
+def test_evaluate_model_names_mismatched_sizes(tiny_recipe):
+    ds = pipeline.finalize(pipeline.simulate_raw(tiny_recipe))
+    x, y = ds.histograms[:4], ds.images[:4]
+    narrow = mlp.init_model([ds.bins, 8, 16], seed=0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"model outputs 16 pixels, images are {ds.img_w} x {ds.img_h} = "
+            f"{ds.img_w * ds.img_h} pixels, y rows hold {y.shape[1]}")):
+        pipeline.evaluate_model(narrow, x, y, ds.img_w, ds.img_h)
+    model = mlp.init_model([ds.bins, 8, ds.img_w * ds.img_h], seed=0)
+    with pytest.raises(ValueError, match="y rows hold 16"):
+        pipeline.evaluate_model(model, x, y[:, :16], ds.img_w, ds.img_h)
+    with pytest.raises(ValueError, match="4 histograms but 3 images"):
+        pipeline.evaluate_model(model, x, y[:3], ds.img_w, ds.img_h)
 
 
 def test_sweep_records_failures_and_continues(tiny_recipe):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from reference import dataset_file_bytes
-from tdi import atomic, forward, mlp, store
+from tdi import forward, mlp, store
 
 # A v1 model file written when models held their weights output-major,
 # (fan_out, fan_in): init_model([9, 6, 4], seed=18) with each bias set to
@@ -213,6 +213,17 @@ def test_model_payload_mismatch(tmp_path):
         store.read_model(path)
 
 
+@pytest.mark.parametrize("dims", [(0, 4, 2), (9, 0, 4), (9, 4, 0)])
+def test_model_with_a_zero_layer_width_fails_the_read(tmp_path, dims):
+    path = tmp_path / "model.tdim"
+    # the payload the dims declare, so only the zero is wrong
+    n_params = sum(dout * din + dout for din, dout in zip(dims[:-1], dims[1:]))
+    path.write_bytes(struct.pack("<4sII3I", b"TDIM", 1, 3, *dims) + bytes(4 * n_params))
+    with pytest.raises(store.HeaderMismatchError,
+                       match=re.escape(f"layer dim {dims.index(0)} of {list(dims)} is 0")):
+        store.read_model(path)
+
+
 def test_model_fixture_reads_its_numbers_and_writes_back_its_bytes(tmp_path):
     model = store.read_model(TINY_V1_MODEL)
     assert model.layer_dims == [9, 6, 4]
@@ -366,8 +377,7 @@ def test_write_errors_surface_path(tmp_path):
 
 CSV_WRITERS = {
     "write_csv": lambda path: store.write_csv(path, "a,b", [(1, 2), (3, 4)]),
-    "export_ssim_csv": lambda path: store.export_ssim_csv(np.zeros((2, 2)), path),
-    "write_histogram_csv": lambda path: forward.write_histogram_csv(
+    "write_histogram_csv": lambda path: store.write_histogram_csv(
         forward.Histogram(1e-11, np.ones(4)), path),
 }
 
@@ -387,7 +397,7 @@ def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch, name):
     def refuse(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(atomic.os, "replace", refuse)
+    monkeypatch.setattr(store.os, "replace", refuse)
     with pytest.raises(store.StoreError, match="disk full"):
         CSV_WRITERS[name](path)
     assert path.read_text() == "previous\n"
@@ -417,7 +427,7 @@ def test_write_atomic_failing_chunks_keep_previous_file(tmp_path):
         raise RuntimeError("chunk source failed")
 
     with pytest.raises(RuntimeError, match="chunk source failed"):
-        atomic.write_atomic(path, chunks())
+        store.write_atomic(path, chunks())
     assert path.read_bytes() == b"previous"
     assert not list(tmp_path.glob("*.tmp.*"))
 
@@ -450,20 +460,11 @@ def test_concurrent_writes_to_one_path(tmp_path):
     assert not list(tmp_path.glob("*.tmp.*"))
 
 
-def test_ssim_csv_export(tmp_path):
-    smap = np.array([[1.0, -0.5], [0.25, 0.0]])
-    path = tmp_path / "map.csv"
-    store.export_ssim_csv(smap, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines == ["1.0,-0.5", "0.25,0.0"]
-
-
 def test_silhouette_from_pgm_round_trip(tmp_path):
-    from tdi import scene
     raw = np.zeros((6, 4), dtype=np.uint8)
     raw[1:5, 1:3] = 200
     path = tmp_path / "figure.pgm"
     path.write_bytes(b"P5\n4 6\n255\n" + raw.tobytes())
-    sil = scene.silhouette_from_pgm(path, id=3, native_height_m=1.6)
+    sil = store.read_silhouette(path, id=3, native_height_m=1.6)
     assert sil.id == 3 and sil.native_height_m == 1.6
     assert np.array_equal(sil.mask, raw >= 128)
