@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, metrics, mlp, pipeline, store
 from .config import (NOISE_FRACTIONS, REFLECTIVITY_TRAININGS, SETTINGS, SWEEP_DEFAULTS,
-                     format_setting, owned, parse_range, read_settings)
+                     format_setting, owned, parse_range)
 
 _PRESETS = {"desk": pipeline.desk_recipe, "paper": pipeline.paper_recipe}
 # Each sweep kind and the pipeline function that runs it.
@@ -58,7 +58,7 @@ def _count(text: str) -> int:
 
 def _settings(args) -> dict:
     """The --config file's settings, overridden by every flag given."""
-    settings = read_settings(args.config) if getattr(args, "config", None) else {}
+    settings = store.read_settings(args.config) if getattr(args, "config", None) else {}
     if getattr(args, "reflectivity", None) is not None:
         settings.pop("reflectivity_range", None)  # a fixed ratio replaces the file's range
     settings.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)

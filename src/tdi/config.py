@@ -5,14 +5,16 @@ describes the virtual camera, the depth range of the scene, and the
 time-binning of the single-point detector; every stage of the pipeline reads
 its knobs from here so that a run is reproducible from the config alone.
 
-SETTINGS is the one table of config-file and manifest keys: each key's owner
-and parser. read_settings turns a file into a typed dict and rejects unknown
-keys; format_setting writes values that read back exactly.
+SETTINGS is the one table of config-file and manifest keys: each key's owner,
+parser and rule (its valid values); every boundary that takes a setting holds
+it to its rule through `check`. parse_settings turns a file's text into a typed
+dict and rejects unknown keys; format_setting writes values that read back exactly.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -55,33 +57,21 @@ class SimConfig:
     range_margin_m: float = 1.0    # slack beyond z_max covered by the histogram
 
     def __post_init__(self):
-        if self.fov_deg <= 0 or self.fov_deg >= 180:
-            raise ValueError(f"fov_deg must be in (0, 180), got {self.fov_deg}")
-        if self.img_w < 8 or self.img_h < 8:
-            raise ValueError("image resolution must be at least 8x8")
-        if not (0 < self.z_min < self.z_max):
-            raise ValueError("need 0 < z_min < z_max")
-        if self.bins < 2:
-            raise ValueError("need at least 2 histogram bins")
-        if self.time_convention not in TIME_CONVENTIONS:
-            raise ValueError(f"unknown time convention {self.time_convention!r}")
-        if self.irf_dt_s < 0:
-            raise ValueError("irf_dt_s must be >= 0")
-        if not 0 <= self.noise_level < len(NOISE_FRACTIONS):
-            raise ValueError(f"noise_level must be 0..{len(NOISE_FRACTIONS) - 1}")
-        if self.p0 <= 0:
-            raise ValueError("p0 must be positive")
+        check_owned(self, "sim")
+        if not self.z_min < self.z_max:
+            raise ValueError(f"need z_min < z_max, got {self.z_min} and {self.z_max}")
         if self.bin_width_s is None:
             span = 2.0 * (self.z_max + self.range_margin_m)
-            self.bin_width_s = span / (SPEED_OF_LIGHT * self.bins)
-        if self.bin_width_s <= 0:
-            raise ValueError("bin_width_s must be positive")
-        if self.time_convention == "round_trip":
-            reach = self.bins * self.bin_width_s * SPEED_OF_LIGHT / 2.0
-            if reach < self.z_max:
-                raise ValueError(
-                    f"histogram spans only {reach:.3f} m round-trip, scene needs {self.z_max} m"
-                )
+            self.bin_width_s = check("bin_width_s", span / (SPEED_OF_LIGHT * self.bins))
+        reach = self.bins * self.bin_width_s * SPEED_OF_LIGHT / self.path_factor
+        if reach < self.z_max:
+            raise ValueError(f"histogram reaches only {reach:.3f} m ({self.time_convention}), "
+                             f"scene needs {self.z_max} m")
+
+    @property
+    def path_factor(self) -> float:
+        """Light's path over the distance to the target: 2 round trip, 1 one way."""
+        return 2.0 if self.time_convention == "round_trip" else 1.0
 
     @property
     def fov_rad(self) -> float:
@@ -110,11 +100,12 @@ def paper_sim(seed: int = 0) -> SimConfig:
 
 # ---------------------------------------------------------------------------
 # Plain-text config files: one `key = value` per line, '#' comments, SI units.
-# SETTINGS names every key a config file or manifest may hold, with its owner
-# and the parser of its value. Owners are names, not imports, because every
-# module imports this one: "sim" is SimConfig, "recipe" DatasetRecipe, "train"
-# TrainConfig, "sweep" the arguments of the sweeps, and "manifest" what a
-# manifest records about its run but no command reads back.
+# SETTINGS names every key a config file or manifest may hold, with its owner,
+# the parser of its value and its rule. Owners are names, not imports, because
+# every module imports this one: "sim" is SimConfig, "recipe" DatasetRecipe,
+# "train" TrainConfig, "sweep" the arguments of the sweeps, and "manifest" what
+# a manifest records about its run but no command reads back. A rule is a test,
+# false for NaN, and the words that name it; None lets any parsed value through.
 
 def parse_range(text: str) -> tuple:
     """`lo:hi` as a (lo, hi) float pair."""
@@ -122,45 +113,54 @@ def parse_range(text: str) -> tuple:
     return float(lo), float(hi)
 
 
-def parse_training(text: str) -> str:
-    """How the reflectivity sweep trains: `fixed` or `varied`."""
-    if text not in REFLECTIVITY_TRAININGS:
-        raise ValueError("expected " + " or ".join(REFLECTIVITY_TRAININGS))
-    return text
+def _integer(lo: int, hi: int | None = None) -> tuple:
+    """Rule of an integer setting: lo..hi, or >= lo (`int` first: the ABC check is slow)."""
+    top = math.inf if hi is None else hi
+    words = f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
+    return (lambda v: isinstance(v, (int, numbers.Integral)) and lo <= v <= top), words
 
+
+def _one_of(choices) -> tuple:
+    return (lambda v: v in choices), " or ".join(choices)
+
+
+_POSITIVE = (lambda v: 0 < v < math.inf), "finite and > 0"
+_NOT_NEGATIVE = (lambda v: 0 <= v < math.inf), "finite and >= 0"
 
 SETTINGS = {
-    "command": ("manifest", str),
-    "tool_version": ("manifest", str),
-    "dataset": ("manifest", str),
-    "model": ("manifest", str),
-    "histogram": ("manifest", str),
-    "gallery": ("manifest", int),
-    "fov_deg": ("sim", float),
-    "img_w": ("sim", int),
-    "img_h": ("sim", int),
-    "z_min": ("sim", float),
-    "z_max": ("sim", float),
-    "bins": ("sim", int),
-    "bin_width_s": ("sim", float),
-    "p0": ("sim", float),
-    "time_convention": ("sim", str),
-    "irf_dt_s": ("sim", float),
-    "noise_level": ("sim", int),
-    "seed": ("sim train", int),        # seeds the simulation and the trainer
-    "range_margin_m": ("sim", float),
-    "n_silhouettes": ("recipe", int),
-    "depth_steps": ("recipe", int),
-    "lateral_steps": ("recipe", int),
-    "background": ("recipe", str),
-    "reflectivity": ("recipe", float),
-    "reflectivity_range": ("recipe", parse_range),
-    "epochs": ("train", int),
-    "batch_size": ("train", int),
-    "learning_rate": ("train", float),
-    "validation_fraction": ("train", float),
-    "n_test": ("sweep", int),
-    "reflectivity_training": ("sweep", parse_training),
+    "command": ("manifest", str, None),
+    "tool_version": ("manifest", str, None),
+    "dataset": ("manifest", str, None),
+    "model": ("manifest", str, None),
+    "histogram": ("manifest", str, None),
+    "gallery": ("manifest", int, None),
+    "fov_deg": ("sim", float, ((lambda v: 0 < v < 180), "in (0, 180)")),
+    "img_w": ("sim", int, _integer(8)),
+    "img_h": ("sim", int, _integer(8)),
+    "z_min": ("sim", float, _POSITIVE),
+    "z_max": ("sim", float, _POSITIVE),
+    "bins": ("sim", int, _integer(2)),
+    "bin_width_s": ("sim", float, _POSITIVE),     # None: derived from the span
+    "p0": ("sim", float, _POSITIVE),
+    "time_convention": ("sim", str, _one_of(TIME_CONVENTIONS)),
+    "irf_dt_s": ("sim", float, _NOT_NEGATIVE),
+    "noise_level": ("sim", int, _integer(0, len(NOISE_FRACTIONS) - 1)),
+    "seed": ("sim train", int, _integer(0)),     # seeds the simulation and the trainer
+    "range_margin_m": ("sim", float, _NOT_NEGATIVE),
+    "n_silhouettes": ("recipe", int, _integer(1)),
+    "depth_steps": ("recipe", int, _integer(1)),
+    "lateral_steps": ("recipe", int, _integer(1)),
+    "background": ("recipe", str, None),
+    "reflectivity": ("recipe", float, _POSITIVE),
+    "reflectivity_range": ("recipe", parse_range,   # None: every scene at `reflectivity`
+                           ((lambda r: len(r) == 2 and 0 < r[0] <= r[1] < math.inf),
+                            "lo:hi with 0 < lo <= hi < inf")),
+    "epochs": ("train", int, _integer(1)),
+    "batch_size": ("train", int, _integer(1)),
+    "learning_rate": ("train", float, _POSITIVE),
+    "validation_fraction": ("train", float, ((lambda v: 0 < v < 1), "in (0, 1)")),
+    "n_test": ("sweep", int, _integer(1)),
+    "reflectivity_training": ("sweep", str, _one_of(REFLECTIVITY_TRAININGS)),
 }
 
 SWEEP_DEFAULTS = {"n_test": 200, "reflectivity_training": "fixed"}
@@ -170,6 +170,20 @@ def owned(values: dict, owner: str) -> dict:
     """The items of `values` whose key belongs to `owner`."""
     return {k: v for k, v in values.items()
             if k in SETTINGS and owner in SETTINGS[k][0].split()}
+
+
+def check(key: str, value):
+    """`value` if it meets `key`'s rule or is None; else a ValueError naming the key."""
+    rule = SETTINGS[key][2]
+    if value is not None and rule is not None and not rule[0](value):
+        raise ValueError(f"{key} must be {rule[1]}, got {value!r}")
+    return value
+
+
+def check_owned(obj, owner: str) -> None:
+    """`check` each field of dataclass `obj` whose key belongs to `owner`."""
+    for key, value in owned(vars(obj), owner).items():
+        check(key, value)
 
 
 def format_setting(value) -> str:
@@ -184,7 +198,7 @@ def format_setting(value) -> str:
 def parse_settings(text: str) -> dict:
     """Typed settings from `key = value` lines; manifest-only keys are skipped.
 
-    An unknown key or a value its parser rejects raises ValueError naming the line.
+    An unknown key or a value its parser or rule rejects raises ValueError naming the line.
     """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -196,16 +210,12 @@ def parse_settings(text: str) -> dict:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         if key not in SETTINGS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        owners, parse = SETTINGS[key]
+        owners, parse, _ = SETTINGS[key]
         if owners == "manifest":
             continue
         try:
-            out[key] = parse(value)
+            out[key] = check(key, parse(value))
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad {key} {value!r}: {exc}") from None
     return out
 
-
-def read_settings(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_settings(fh.read())

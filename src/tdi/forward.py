@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NOISE_FRACTIONS, SPEED_OF_LIGHT, SimConfig
+from .config import NOISE_FRACTIONS, SPEED_OF_LIGHT, SimConfig, check
 from .scene import DepthImage, Overlay, pixel_offsets
 
 
@@ -77,8 +77,7 @@ def _pixel_returns(pixels: np.ndarray, z: np.ndarray, reflectance: np.ndarray,
     y = down[pixels] * z
     r = np.sqrt(x * x + y * y + z * z)
 
-    factor = 2.0 if cfg.time_convention == "round_trip" else 1.0
-    t = factor * r / SPEED_OF_LIGHT
+    t = cfg.path_factor * r / SPEED_OF_LIGHT
     bins = np.floor(t / cfg.bin_width_s).astype(np.int64)
     if (bins >= cfg.bins).any():
         worst = int(np.argmax(bins))
@@ -191,9 +190,7 @@ def convolve_irf(h: Histogram, dt_s: float) -> Histogram:
     preserved to better than 1e-6 away from the histogram edges. dt_s = 0
     returns the input unchanged.
     """
-    if dt_s < 0:
-        raise ValueError("dt_s must be >= 0")
-    if dt_s == 0.0:
+    if check("irf_dt_s", dt_s) == 0.0:
         return Histogram(h.bin_width_s, h.counts.copy(), h.t0_s)
     half = max(1, math.ceil(4.0 * dt_s / h.bin_width_s))
     offsets = np.arange(-half, half + 1, dtype=np.float64) * h.bin_width_s
@@ -233,9 +230,7 @@ def add_noise(h: Histogram, level: int, seed) -> Histogram:
     for a fixed seed, an int or a sequence of ints such as
     (seed, stream, scene index).
     """
-    if not 0 <= level < len(NOISE_FRACTIONS):
-        raise ValueError(f"noise level must be 0..{len(NOISE_FRACTIONS) - 1}, got {level}")
-    if level == 0:
+    if check("noise_level", level) == 0:
         return Histogram(h.bin_width_s, h.counts.copy(), h.t0_s)
     rng = np.random.default_rng(seed)
     alpha, sigma = _noise_scales(h.counts, NOISE_FRACTIONS[level])

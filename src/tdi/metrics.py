@@ -17,7 +17,7 @@ WINDOW_SIGMA = 1.5
 K1 = 0.01
 K2 = 0.03
 DYNAMIC_RANGE = 1.0
-# Pairs scored per chunk in batch_ssim; bounds the float64 intermediates.
+# Pairs per chunk in batch_ssim; bounds the float64 copies and intermediates.
 SSIM_CHUNK = 256
 
 
@@ -63,12 +63,13 @@ def ssim(a: np.ndarray, b: np.ndarray) -> SsimResult:
     values in [0, 1]. The map has the shape of the inputs (each image is
     padded symmetrically at its edges) and every value lies in [-1, 1];
     identical inputs give exactly 1. The mean is taken over the whole map.
+    Empty inputs, such as a (0, h, w) stack, raise ValueError.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim not in (2, 3):
-        raise ValueError(f"images must be equal-shape 2-D arrays or (n, h, w) stacks, "
-                         f"got {a.shape} vs {b.shape}")
+    if a.shape != b.shape or a.ndim not in (2, 3) or a.size == 0:
+        raise ValueError(f"images must be equal-shape, nonempty 2-D arrays or (n, h, w) "
+                         f"stacks, got {a.shape} vs {b.shape}")
 
     c1 = (K1 * DYNAMIC_RANGE) ** 2
     c2 = (K2 * DYNAMIC_RANGE) ** 2
@@ -85,24 +86,23 @@ def ssim(a: np.ndarray, b: np.ndarray) -> SsimResult:
     return SsimResult(map=smap, mean=float(smap.mean()))
 
 
-def batch_ssim(pairs) -> tuple[np.ndarray, float]:
-    """Per-pair mean SSIM in input order plus the overall mean.
+def batch_ssim(a, b) -> tuple[np.ndarray, float]:
+    """Per-pair mean SSIM of two (n, h, w) stacks, pair k being (a[k], b[k]),
+    plus the overall mean.
 
-    `pairs` is a sequence of (a, b) image pairs or, equivalently, one
-    (n, 2, h, w) array. Pairs are scored as (n, h, w) stacks, SSIM_CHUNK
-    pairs per `ssim` call.
+    Each SSIM_CHUNK pairs are converted to float64 and scored in one `ssim`
+    call, so no float64 copy of a whole stack is made.
     """
-    if len(pairs) == 0:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.ndim != 3:
+        raise ValueError(f"need two equal-shape (n, h, w) stacks, got {a.shape} vs {b.shape}")
+    n = len(a)
+    if n == 0:
         raise ValueError("need at least one image pair")
-    stack = np.asarray(pairs, dtype=np.float64)
-    if stack.ndim != 4 or stack.shape[1] != 2:
-        raise ValueError(f"need (n, 2, h, w) image pairs, got shape {stack.shape}")
-    n = stack.shape[0]
     means = np.empty(n)
     for lo in range(0, n, SSIM_CHUNK):
-        chunk = stack[lo: lo + SSIM_CHUNK]
-        smap = ssim(chunk[:, 0], chunk[:, 1]).map
-        means[lo: lo + SSIM_CHUNK] = smap.reshape(chunk.shape[0], -1).mean(axis=1)
+        smap = ssim(a[lo: lo + SSIM_CHUNK], b[lo: lo + SSIM_CHUNK]).map
+        means[lo: lo + SSIM_CHUNK] = smap.reshape(smap.shape[0], -1).mean(axis=1)
     return means, float(means.mean())
 
 
@@ -113,16 +113,16 @@ def lateral_resolution(d: float, dt: float) -> float:
     grows with the square root of distance, so resolution degrades slowly
     far from the sensor.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if d < 0:
-        raise ValueError("distance must be >= 0")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    if not 0 <= d < math.inf:
+        raise ValueError(f"distance must be finite and >= 0, got {d!r}")
     c_dt = SPEED_OF_LIGHT * dt
     return c_dt * math.sqrt(2.0 * d / c_dt + 1.0)
 
 
 def depth_resolution(dt: float) -> float:
     """Axial (depth) resolution c * dt, set purely by the timing resolution."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     return SPEED_OF_LIGHT * dt

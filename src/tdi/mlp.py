@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SimConfig
+from .config import SimConfig, check_owned
 from .forward import Histogram, normalize_histogram
 from .scene import DepthImage
 
@@ -79,12 +79,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in (0, 1)")
+        check_owned(self, "train")
 
 
 @dataclass

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import forward, metrics, mlp, scene, store
 from .config import (IRF_SWEEP_S, DATASET_SIZE_SWEEP, NOISE_FRACTIONS, REFLECTIVITY_SWEEP,
-                     REFLECTIVITY_TRAININGS, REFLECTIVITY_TRAIN_RANGE, SimConfig, desk_sim,
+                     REFLECTIVITY_TRAIN_RANGE, SimConfig, check, check_owned, desk_sim,
                      paper_sim)
 
 # Each background kind a recipe may name, with the function that builds it.
@@ -61,15 +61,9 @@ class DatasetRecipe:
     reflectivity_range: tuple | None = None   # loguniform per scene when set
 
     def __post_init__(self):
-        for name in ("n_silhouettes", "depth_steps", "lateral_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_owned(self, "recipe")
         if self.background not in BACKGROUND_KINDS:
             raise ValueError(f"background must be one of {BACKGROUND_KINDS}")
-        if self.reflectivity_range is not None:
-            lo, hi = self.reflectivity_range
-            if not 0 < lo <= hi:
-                raise ValueError("reflectivity_range must satisfy 0 < lo <= hi")
 
     @property
     def n_scenes(self) -> int:
@@ -225,8 +219,8 @@ def finalize(raw: RawDataset, irf_dt_s: float | None = None,
              noise_level: int | None = None) -> store.Dataset:
     """Apply IRF + per-scene noise, normalize to [0, 1], pack as a storable dataset."""
     cfg = raw.recipe.sim
-    dt = cfg.irf_dt_s if irf_dt_s is None else irf_dt_s
-    level = cfg.noise_level if noise_level is None else noise_level
+    dt = check("irf_dt_s", cfg.irf_dt_s if irf_dt_s is None else irf_dt_s)
+    level = check("noise_level", cfg.noise_level if noise_level is None else noise_level)
     out = np.empty(raw.counts.shape, dtype=np.float32)
     _finalize_rows(raw.counts, raw.scenes, cfg, dt, level, out)
     return store.Dataset(histograms=out, images=raw.images,
@@ -260,8 +254,8 @@ def generate_dataset(recipe: DatasetRecipe) -> store.Dataset:
 
 def _split_rows(n: int, n_test: int, seed: int):
     """Seeded shuffle of range(n), split into (train, test) row indices."""
-    if not 0 < n_test < n:
-        raise ValueError(f"need 0 < n_test < {n}")
+    if check("n_test", n_test) >= n:
+        raise ValueError(f"n_test must be < {n}, the number of pairs, got {n_test}")
     perm = np.random.default_rng(seed).permutation(n)
     return perm[n_test:], perm[:n_test]
 
@@ -288,10 +282,8 @@ def evaluate_model(model: mlp.MlpModel, x: np.ndarray, y: np.ndarray,
     if len(x) != len(y):
         raise ValueError(f"{len(x)} histograms but {len(y)} images")
     outputs = mlp.forward(model, np.asarray(x, dtype=model.dtype))
-    pairs = np.empty((outputs.shape[0], 2, img_h, img_w))
-    pairs[:, 0] = np.clip(outputs, 0.0, 1.0).reshape(-1, img_h, img_w)
-    pairs[:, 1] = y.reshape(-1, img_h, img_w)
-    return metrics.batch_ssim(pairs)
+    np.clip(outputs, 0.0, 1.0, out=outputs)
+    return metrics.batch_ssim(outputs.reshape(-1, img_h, img_w), y.reshape(-1, img_h, img_w))
 
 
 @dataclass
@@ -375,8 +367,7 @@ def sweep_reflectivity(recipe: DatasetRecipe, train_cfg: mlp.TrainConfig, n_test
     changes, which rescales its histogram contribution relative to the
     background. Each scene is simulated only where it is trained on or scored.
     """
-    if training not in REFLECTIVITY_TRAININGS:
-        raise ValueError(f"training must be one of {REFLECTIVITY_TRAININGS}")
+    check("reflectivity_training", training)
     train_recipe = recipe if training == "fixed" else replace(
         recipe, reflectivity_range=REFLECTIVITY_TRAIN_RANGE)
     train_rows, test_rows = _split_rows(recipe.n_scenes, n_test, recipe.sim.seed)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SimConfig
+from .config import SimConfig, check
 
 # Silhouette raster canvas (rows x cols). Cells are square; a mask of height
 # _CANVAS_H cells represents a figure of native_height_m meters.
@@ -43,8 +43,8 @@ class Silhouette:
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mask.ndim != 2 or not self.mask.any():
             raise ValueError("silhouette mask must be a 2-D raster with at least one set cell")
-        if self.native_height_m <= 0:
-            raise ValueError("native_height_m must be positive")
+        if not 0 < self.native_height_m < math.inf:
+            raise ValueError(f"native_height_m must be finite and > 0, got {self.native_height_m}")
 
 
 @dataclass
@@ -64,8 +64,7 @@ class Placement:
     reflectivity: float = 1.0
 
     def __post_init__(self):
-        if self.reflectivity <= 0:
-            raise ValueError("reflectivity must be positive")
+        check("reflectivity", self.reflectivity)
 
     @property
     def silhouette_id(self) -> int:
@@ -98,8 +97,8 @@ class Background:
     objects: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.wall_depth_m <= 0:
-            raise ValueError("wall_depth_m must be positive")
+        if not 0 < self.wall_depth_m < math.inf:
+            raise ValueError(f"wall_depth_m must be finite and > 0, got {self.wall_depth_m}")
         for box in self.objects:
             if box.z >= self.wall_depth_m:
                 raise ValueError(
@@ -171,8 +170,8 @@ def default_background() -> Background:
 
 def scale_factor(d: float) -> float:
     """On-screen size scaling 2/d for an object at 3D distance d meters."""
-    if d <= 0:
-        raise ValueError(f"distance must be positive, got {d}")
+    if not 0 < d < math.inf:
+        raise ValueError(f"distance must be finite and > 0, got {d}")
     return 2.0 / d
 
 
@@ -250,8 +249,7 @@ def generate_silhouettes(count: int, seed: int) -> list:
     limb rectangles hinged inside the torso, so connectivity holds by
     construction. Pose angles and proportions are drawn from the seed.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    check("n_silhouettes", count)
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
@@ -428,25 +426,26 @@ def augment(silhouettes: list, background: Background, cfg: SimConfig,
     """
     if not silhouettes:
         raise ValueError("need at least one silhouette")
+    check("depth_steps", depth_steps)
+    check("lateral_steps", lateral_steps)
     half_tan = math.tan(cfg.fov_rad / 2.0)
-    depths = np.linspace(cfg.z_min, cfg.z_max, depth_steps)
+    depths = np.linspace(cfg.z_min, cfg.z_max, depth_steps).tolist()
     scenes = []
     for sil in silhouettes:
         for z in depths:
             base = np.linspace(-z * half_tan, z * half_tan, lateral_steps)
             xs = (base - base[::-1]) / 2.0  # exactly antisymmetric grid
-            for x in xs:
+            for x in xs.tolist():
                 for mirrored in (False, True):
                     scenes.append(Scene(background, [
-                        Placement(sil, float(x), 0.0, float(z), mirrored, reflectivity)
+                        Placement(sil, x, 0.0, z, mirrored, reflectivity)
                     ]))
     return scenes
 
 
 def normalize_image(img: DepthImage, z_max: float) -> np.ndarray:
     """Flatten to a row-major vector in [0, 1]: depth / z_max, 0 = no return."""
-    if z_max <= 0:
-        raise ValueError("z_max must be positive")
+    check("z_max", z_max)
     peak = float(img.depth_m.max())
     if peak > z_max:
         raise ValueError(f"image contains depth {peak} m beyond z_max {z_max} m")

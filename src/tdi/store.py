@@ -1,7 +1,7 @@
 """All file I/O of the package: datasets, models, graymaps, silhouettes,
-histogram CSV, other CSV, and `write_atomic`, through which every file is
-written (the run manifest too). Only `config.read_settings`, which reads a
-`--config` file, opens a file elsewhere.
+histogram CSV, other CSV, `--config` settings files, and `write_atomic`,
+through which every file is written (the run manifest too). Every file the
+package opens is opened here.
 
 Dataset file ("TDID"): 24-byte header
     magic 4s | version u32 | bins u32 | img_w u32 | img_h u32 | n_records u32
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import parse_settings
 from .forward import Histogram
 from .mlp import MlpModel
 from .scene import Silhouette
@@ -318,6 +319,12 @@ def load_silhouette_mask(path) -> np.ndarray:
 def read_silhouette(path, id: int = 0, native_height_m: float = 1.75) -> Silhouette:
     """A silhouette from an 8-bit binary graymap, binarized at 128."""
     return Silhouette(id=id, mask=load_silhouette_mask(path), native_height_m=native_height_m)
+
+
+def read_settings(path) -> dict:
+    """Typed settings of a `key = value` config file (`config.parse_settings`)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_settings(fh.read())
 
 
 def write_csv(path, header: str, rows) -> None:

@@ -275,6 +275,28 @@ def test_gen_rejects_an_empty_augmentation_grid(tmp_path, capsys):
     assert not (tmp_path / "g").exists()
 
 
+def test_gen_rejects_a_nan_irf(tmp_path, tiny_config, capsys):
+    out = tmp_path / "g"
+    assert run(["gen", "--out", out, "--config", tiny_config, "--count", 1, "--irf", "nan"]) == 1
+    assert "irf_dt_s must be finite and >= 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_a_negative_learning_rate(tmp_path, tiny_config, capsys):
+    data = tmp_path / "data"
+    assert run(["gen", "--out", data, "--config", tiny_config]) == 0
+    config = tmp_path / "lr.cfg"
+    text = TINY_CONFIG + "learning_rate = -1\n"
+    config.write_text(text)
+    out = tmp_path / "t"
+    assert run(["train", "--dataset", data / "dataset.tdid", "--out", out,
+                "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert f"config line {len(text.splitlines())}: bad learning_rate '-1'" in err
+    assert "learning_rate must be finite and > 0" in err
+    assert not out.exists()
+
+
 def test_gen_and_train_manifests_feed_every_command(tmp_path, tiny_config):
     data = tmp_path / "data"
     assert run(["gen", "--out", data, "--config", tiny_config]) == 0

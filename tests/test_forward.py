@@ -69,7 +69,8 @@ def test_pixel_time_rejects_origin_and_bad_convention():
     # a pixel at depth 0 (the origin) returns no light; the config checks the convention
     h = forward.simulate_histogram(single_pixel_image(0.0), CFG9)
     assert not h.counts.any()
-    with pytest.raises(ValueError, match="unknown time convention 'two_way'"):
+    with pytest.raises(ValueError,
+                       match="time_convention must be round_trip or one_way, got 'two_way'"):
         SimConfig(time_convention="two_way")
 
 
@@ -331,7 +332,8 @@ def test_noise_calibration_quick():
 def test_noise_spec_validation():
     h = bump_histogram()
     for level in (4, -1):
-        with pytest.raises(ValueError, match=f"noise level must be 0..3, got {level}"):
+        with pytest.raises(ValueError,
+                           match=f"noise_level must be an integer in 0..3, got {level}"):
             forward.add_noise(h, level, seed=0)
 
 

@@ -61,17 +61,36 @@ def test_ssim_rejects_shape_mismatch():
         metrics.ssim(np.zeros(64), np.zeros(64))
 
 
+def test_ssim_rejects_an_empty_stack():
+    with pytest.raises(ValueError, match="nonempty"):
+        metrics.ssim(np.zeros((0, 8, 8)), np.zeros((0, 8, 8)))
+
+
+def test_batch_ssim_scores_float32_stacks_chunk_by_chunk():
+    n = 2 * metrics.SSIM_CHUNK + 3
+    rng = np.random.default_rng(7)
+    a = rng.uniform(0.0, 1.0, (n, 12, 12)).astype(np.float32)
+    b = rng.uniform(0.0, 1.0, (n, 12, 12)).astype(np.float32)
+    means, overall = metrics.batch_ssim(a, b)
+    wide, wide_overall = metrics.batch_ssim(a.astype(np.float64), b.astype(np.float64))
+    assert means.tobytes() == wide.tobytes() and overall == wide_overall
+    for k in (0, metrics.SSIM_CHUNK - 1, metrics.SSIM_CHUNK, n - 1):
+        assert abs(means[k] - metrics.ssim(a[k], b[k]).mean) <= 1e-12
+    with pytest.raises(ValueError, match="equal-shape"):
+        metrics.batch_ssim(a, b[:-1])
+
+
 def test_batch_ssim_identical_pairs():
-    imgs = [random_image(s, (16, 16)) for s in range(3)]
-    means, overall = metrics.batch_ssim([(im, im) for im in imgs])
+    imgs = np.array([random_image(s, (16, 16)) for s in range(3)])
+    means, overall = metrics.batch_ssim(imgs, imgs)
     assert np.all(means == 1.0) and overall == 1.0
 
 
 def test_batch_ssim_single_pair_and_order():
     a, b = random_image(3, (16, 16)), random_image(4, (16, 16))
-    means, overall = metrics.batch_ssim([(a, b)])
+    means, overall = metrics.batch_ssim(a[None], b[None])
     assert len(means) == 1 and overall == means[0]
-    means2, _ = metrics.batch_ssim([(a, b), (a, a)])
+    means2, _ = metrics.batch_ssim(np.stack([a, a]), np.stack([b, a]))
     assert means2[0] == means[0] and means2[1] == 1.0
 
 
@@ -83,7 +102,8 @@ def test_batch_ssim_stack_matches_single_and_brute_force():
              (base, np.roll(base, 3, axis=0)), (step, np.roll(step, 2, axis=1)),
              (step, np.full((16, 16), 0.5)), (np.zeros((16, 16)), np.zeros((16, 16))),
              (base, 0.5 * base + 0.25), (random_image(12, (16, 16)), step)]
-    means, overall = metrics.batch_ssim(np.array(pairs))
+    stack = np.array(pairs)
+    means, overall = metrics.batch_ssim(stack[:, 0], stack[:, 1])
     assert means.shape == (len(pairs),)
     assert overall == pytest.approx(means.mean(), abs=1e-15)
     for (a, b), got in zip(pairs, means):
@@ -93,7 +113,7 @@ def test_batch_ssim_stack_matches_single_and_brute_force():
 
 def test_batch_ssim_rejects_empty():
     with pytest.raises(ValueError):
-        metrics.batch_ssim([])
+        metrics.batch_ssim(np.zeros((0, 16, 16)), np.zeros((0, 16, 16)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +163,16 @@ def test_lateral_resolution_square_root_growth():
 
 
 def test_lateral_resolution_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        metrics.lateral_resolution(4.0, 0.0)
-    with pytest.raises(ValueError):
-        metrics.lateral_resolution(-1.0, 1e-12)
+    for d, dt in ((4.0, 0.0), (-1.0, 1e-12), (4.0, math.nan), (4.0, math.inf),
+                  (math.nan, 1e-12), (math.inf, 1e-12)):
+        with pytest.raises(ValueError):
+            metrics.lateral_resolution(d, dt)
 
 
 def test_depth_resolution_values():
     assert metrics.depth_resolution(250e-12) == pytest.approx(0.074948, rel=1e-4)
     assert metrics.depth_resolution(2.3e-12) == pytest.approx(6.895e-4, rel=1e-3)
     assert metrics.depth_resolution(670e-12) == pytest.approx(0.20, rel=0.05)
-    with pytest.raises(ValueError):
-        metrics.depth_resolution(0.0)
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            metrics.depth_resolution(dt)

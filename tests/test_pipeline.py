@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 import threading
@@ -25,7 +26,7 @@ def test_recipe_scene_counts():
 @pytest.mark.parametrize("field", ["n_silhouettes", "depth_steps", "lateral_steps"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_recipe_rejects_an_empty_augmentation_grid(tiny_recipe, field, value):
-    with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got {value}"):
         replace(tiny_recipe, **{field: value})
 
 
@@ -311,6 +312,17 @@ def test_sweep_records_failures_and_continues(tiny_recipe):
     assert points[0].mean_ssim is not None
     assert points[1].mean_ssim is None and "10000" in points[1].error
     assert [p.label for p in points] == ["16", "10000"]
+
+
+def test_sweep_irf_records_a_nonfinite_width_by_its_key(tiny_recipe):
+    raw = pipeline.simulate_raw(tiny_recipe)
+    tc = mlp.TrainConfig(epochs=1, batch_size=8, seed=0)
+    points = pipeline.sweep_irf(raw, tc, n_test=8, dts=(math.inf, math.nan))
+    assert [p.error for p in points] == [
+        "ValueError: irf_dt_s must be finite and >= 0, got inf",
+        "ValueError: irf_dt_s must be finite and >= 0, got nan"]
+    with pytest.raises(ValueError, match="^noise_level must be an integer in 0..3, got 4$"):
+        pipeline.finalize(raw, noise_level=4)
 
 
 @pytest.mark.parametrize("level", [0, 2])

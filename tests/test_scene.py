@@ -53,15 +53,16 @@ def test_generate_silhouettes_vary_within_a_seed():
 
 
 def test_generate_silhouettes_rejects_bad_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_silhouettes must be an integer >= 1, got 0$"):
         scene.generate_silhouettes(0, seed=1)
 
 
 def test_silhouette_validation():
     with pytest.raises(ValueError):
         scene.Silhouette(id=0, mask=np.zeros((4, 4), bool), native_height_m=1.7)
-    with pytest.raises(ValueError):
-        scene.Silhouette(id=0, mask=np.ones((4, 4), bool), native_height_m=0.0)
+    for height in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="native_height_m must be finite and > 0"):
+            scene.Silhouette(id=0, mask=np.ones((4, 4), bool), native_height_m=height)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,7 @@ def test_scale_factor_decreases_to_zero():
 
 
 def test_scale_factor_rejects_nonpositive():
-    for d in (0.0, -1.0):
+    for d in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             scene.scale_factor(d)
 
@@ -302,6 +303,13 @@ def test_augment_requires_silhouettes():
         scene.augment([], scene.Background(), CFG)
 
 
+@pytest.mark.parametrize("steps", ["depth_steps", "lateral_steps"])
+def test_augment_refuses_an_empty_grid_naming_its_key(steps):
+    sils = scene.generate_silhouettes(1, seed=0)
+    with pytest.raises(ValueError, match=f"^{steps} must be an integer >= 1, got 0$"):
+        scene.augment(sils, scene.Background(), CFG, **{steps: 0})
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -329,10 +337,17 @@ def test_normalize_image_row_major_and_bounded():
 
 def test_normalize_image_validation():
     img = scene.DepthImage(np.full((8, 8), 2.0), np.ones((8, 8)))
-    with pytest.raises(ValueError):
-        scene.normalize_image(img, 0.0)
+    for z_max in (0.0, np.nan):
+        with pytest.raises(ValueError, match="z_max must be finite and > 0"):
+            scene.normalize_image(img, z_max)
     with pytest.raises(ValueError):
         scene.normalize_image(img, 1.0)  # depths exceed z_max
+
+
+@pytest.mark.parametrize("depth", [0.0, -1.0, np.nan, np.inf])
+def test_background_rejects_a_wall_depth_not_finite_and_positive(depth):
+    with pytest.raises(ValueError, match="wall_depth_m must be finite and > 0"):
+        scene.Background(wall_depth_m=depth)
 
 
 def test_background_rejects_object_behind_wall():
