@@ -163,6 +163,9 @@ SETTINGS = {
     "reflectivity_training": ("sweep", str, _one_of(REFLECTIVITY_TRAININGS)),
 }
 
+# The only keys whose value may be None; the table's comments say what it means.
+NONE_ALLOWED = frozenset({"bin_width_s", "reflectivity_range"})
+
 SWEEP_DEFAULTS = {"n_test": 200, "reflectivity_training": "fixed"}
 
 
@@ -173,9 +176,15 @@ def owned(values: dict, owner: str) -> dict:
 
 
 def check(key: str, value):
-    """`value` if it meets `key`'s rule or is None; else a ValueError naming the key."""
+    """`value` if it meets `key`'s rule; else a ValueError naming the key.
+
+    None passes only for the keys in NONE_ALLOWED.
+    """
     rule = SETTINGS[key][2]
-    if value is not None and rule is not None and not rule[0](value):
+    if value is None:
+        if key not in NONE_ALLOWED:
+            raise ValueError(f"{key} must be {rule[1] if rule else 'set'}, got None")
+    elif rule is not None and not rule[0](value):
         raise ValueError(f"{key} must be {rule[1]}, got {value!r}")
     return value
 

@@ -108,8 +108,7 @@ class AdamState:
 def init_model(layer_dims, seed: int, dtype=np.float32) -> MlpModel:
     """Glorot-uniform weights (+/- sqrt(6/(fan_in+fan_out))), zero biases.
 
-    Each weight holds the transpose of one row-major (fan_out, fan_in) draw,
-    the numbers a seed gave when weights were held output-major.
+    Each weight holds one row-major (fan_in, fan_out) draw cast to dtype.
     """
     dims = list(layer_dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
@@ -118,16 +117,12 @@ def init_model(layer_dims, seed: int, dtype=np.float32) -> MlpModel:
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        # Drawn about ADAM_BLOCK values at a time, in whole draw rows (one row
-        # in ADAM_BLOCK pieces when it is longer): the stream continues across
-        # calls, so the bytes are those of one whole-matrix draw cast to dtype.
+        # Drawn ADAM_BLOCK values at a time: the stream continues across
+        # calls, so the bytes are those of one whole-matrix draw.
         w = np.empty((fan_in, fan_out), dtype=dtype)
-        step = max(1, ADAM_BLOCK // fan_in)
-        for r0 in range(0, fan_out, step):
-            r1 = min(r0 + step, fan_out)
-            for lo in range(0, fan_in, ADAM_BLOCK):
-                hi = min(lo + ADAM_BLOCK, fan_in)
-                w[lo:hi, r0:r1] = rng.uniform(-limit, limit, size=(r1 - r0, hi - lo)).T
+        flat = w.reshape(-1)
+        for lo in range(0, flat.size, ADAM_BLOCK):
+            flat[lo: lo + ADAM_BLOCK] = rng.uniform(-limit, limit, min(ADAM_BLOCK, flat.size - lo))
         weights.append(w)
         biases.append(np.zeros(fan_out, dtype=dtype))
     return MlpModel(weights, biases)

@@ -1,26 +1,26 @@
-"""All file I/O of the package: datasets, models, graymaps, silhouettes,
-histogram CSV, other CSV, `--config` settings files, and `write_atomic`,
-through which every file is written (the run manifest too). Every file the
-package opens is opened here.
+"""All file I/O of the package: datasets, models, graymaps, histogram CSV,
+other CSV, `--config` settings files, and `write_atomic`, through which
+every file is written (the run manifest too). Every file the package opens
+is opened here.
 
-Dataset file ("TDID"): 24-byte header
+Dataset file ("TDID", version 1): 24-byte header
     magic 4s | version u32 | bins u32 | img_w u32 | img_h u32 | n_records u32
 followed by n_records records, each `bins` float32 histogram values then
 img_w*img_h float32 normalized image values. Everything little-endian.
 
-Model file ("TDIM"): magic 4s | version u32 | n_dims u32 | n_dims * u32 dims,
-then per layer: weights row-major float32, (fan_out, fan_in) on disk,
-transposed on read/write; biases float32. On disk a weight is fan_out
-records of fan_in floats, so it streams like dataset records. A model holds
-its weights input-major, (fan_in, fan_out), so each block of records is
-transposed through one reused buffer. A zero layer width, or a weight or
-bias that is not finite, fails the read.
+Model file ("TDIM", version 2): magic 4s | version u32 | n_dims u32 |
+n_dims * u32 dims, then per layer its float32 weight as the model holds it,
+input-major, (fan_in, fan_out) row-major, then its float32 bias. Each array
+is written as it is and read with one `readinto`. Version 1 files, which
+hold each weight output-major, (fan_out, fan_in), are still read; nothing
+writes them. A zero layer width, or a weight or bias that is not finite,
+fails the read.
 
 Every write goes through `write_atomic`: a temp file beside the target,
 then one rename, so readers never observe a partially written file and a
-failed write leaves the previous file as it was. Dataset records and
-weight rows are streamed through one reused buffer of about _BLOCK_BYTES
-in both directions, so no whole-payload copy is ever made.
+failed write leaves the previous file as it was. Dataset records are
+streamed through one reused buffer of about _BLOCK_BYTES in both
+directions, so no whole-payload copy is ever made.
 """
 
 from __future__ import annotations
@@ -36,19 +36,17 @@ import numpy as np
 from .config import parse_settings
 from .forward import Histogram
 from .mlp import MlpModel
-from .scene import Silhouette
 
 DATASET_MAGIC = b"TDID"
 MODEL_MAGIC = b"TDIM"
-FORMAT_VERSION = 1
+DATASET_VERSION = 1
+MODEL_VERSION = 2
+# The model version that holds each weight output-major; still read.
+_MODEL_V1 = 1
 
 _F4 = np.dtype("<f4")
-# Bytes of dataset records or on-disk weight rows staged per read or write;
-# a whole record or row when larger.
+# Bytes of dataset records staged per read or write; a whole record when larger.
 _BLOCK_BYTES = 1 << 20
-# Source rows per tile of a transposing copy, so that a tile's strided
-# reads stay in cache.
-_TILE_ROWS = 256
 
 
 class StoreError(Exception):
@@ -141,11 +139,7 @@ def _read_into(fh, arr: np.ndarray, path, what: str) -> None:
 
 
 def _record_blocks(n: int, record_len: int):
-    """(first row, buffer) per block of n records; every block reuses one buffer.
-
-    A weight is walked as its on-disk rows: _record_blocks(fan_out, fan_in)
-    pairs the buffer at `lo` with the columns w[:, lo: lo + len(buffer)].
-    """
+    """(first record, buffer) per block of n dataset records; every block reuses one buffer."""
     rows = max(1, _BLOCK_BYTES // max(1, 4 * record_len))
     block = np.empty((min(n, rows), record_len), dtype=_F4)
     for lo in range(0, n, rows):
@@ -163,7 +157,7 @@ def _dataset_chunks(header: bytes, dataset: Dataset):
 
 
 def write_dataset(path, dataset: Dataset) -> None:
-    header = struct.pack("<4sIIIII", DATASET_MAGIC, FORMAT_VERSION,
+    header = struct.pack("<4sIIIII", DATASET_MAGIC, DATASET_VERSION,
                          dataset.bins, dataset.img_w, dataset.img_h, len(dataset))
     write_atomic(path, _dataset_chunks(header, dataset))
 
@@ -174,8 +168,9 @@ def read_dataset(path) -> Dataset:
         magic, version, bins, img_w, img_h, n = struct.unpack("<4sIIIII", head)
         if magic != DATASET_MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}, expected {DATASET_MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise VersionError(f"{path}: format version {version}, reader supports {FORMAT_VERSION}")
+        if version != DATASET_VERSION:
+            raise VersionError(
+                f"{path}: format version {version}, reader supports {DATASET_VERSION}")
         record_len = bins + img_w * img_h
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         expected = n * record_len * 4
@@ -194,25 +189,17 @@ def read_dataset(path) -> Dataset:
     return Dataset(histograms=histograms, images=images, img_w=img_w, img_h=img_h)
 
 
-def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
-    """dst[...] = src.T, _TILE_ROWS rows of src at a time."""
-    for lo in range(0, dst.shape[1], _TILE_ROWS):
-        dst[:, lo: lo + _TILE_ROWS] = src[lo: lo + _TILE_ROWS].T
-
-
 def _model_chunks(header: bytes, model):
-    """The header, then per layer the weight's on-disk rows block by block and the bias."""
+    """The header, then per layer the weight and the bias as float32 arrays."""
     yield header
     for w, b in zip(model.weights, model.biases):
-        for lo, block in _record_blocks(w.shape[1], w.shape[0]):
-            _transpose_into(block, w[:, lo: lo + len(block)])
-            yield block
+        yield np.ascontiguousarray(w, dtype=_F4)
         yield np.ascontiguousarray(b, dtype=_F4)
 
 
 def write_model(path, model) -> None:
     dims = model.layer_dims
-    header = (struct.pack("<4sII", MODEL_MAGIC, FORMAT_VERSION, len(dims))
+    header = (struct.pack("<4sII", MODEL_MAGIC, MODEL_VERSION, len(dims))
               + struct.pack(f"<{len(dims)}I", *dims))
     write_atomic(path, _model_chunks(header, model))
 
@@ -222,8 +209,9 @@ def read_model(path):
         magic, version, n_dims = struct.unpack("<4sII", _read_exact(fh, 12, path, "header"))
         if magic != MODEL_MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise VersionError(f"{path}: format version {version}, reader supports {FORMAT_VERSION}")
+        if version not in (_MODEL_V1, MODEL_VERSION):
+            raise VersionError(f"{path}: format version {version}, "
+                               f"reader supports {_MODEL_V1} and {MODEL_VERSION}")
         if n_dims < 2:
             raise HeaderMismatchError(f"{path}: model needs at least 2 layer dims, got {n_dims}")
         dims = struct.unpack(f"<{n_dims}I", _read_exact(fh, 4 * n_dims, path, "layer dims"))
@@ -236,22 +224,25 @@ def read_model(path):
             raise TruncatedFileError(f"{path}: expected {expected} parameter bytes, got {size}")
         if size > expected:
             raise HeaderMismatchError(f"{path}: {size - expected} trailing parameter bytes")
-        weights = [np.empty((din, dout), dtype=_F4) for din, dout in zip(dims[:-1], dims[1:])]
-        biases = [np.empty(dout, dtype=_F4) for dout in dims[1:]]
-        for layer, (w, b) in enumerate(zip(weights, biases)):
-            for lo, block in _record_blocks(w.shape[1], w.shape[0]):
-                _read_into(fh, block, path, "weights")
-                if not _finite(block):
-                    raise StoreError(f"{path}: layer {layer} weights hold NaN or inf")
-                _transpose_into(w[:, lo: lo + len(block)], block)
+        weights, biases = [], []
+        for layer, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
+            w = np.empty((dout, din) if version == _MODEL_V1 else (din, dout), dtype=_F4)
+            _read_into(fh, w, path, "weights")
+            if not _finite(w):
+                raise StoreError(f"{path}: layer {layer} weights hold NaN or inf")
+            if version == _MODEL_V1:
+                w = np.ascontiguousarray(w.T)
+            b = np.empty(dout, dtype=_F4)
             _read_into(fh, b, path, "biases")
             if not _finite(b):
                 raise StoreError(f"{path}: layer {layer} biases hold NaN or inf")
+            weights.append(w)
+            biases.append(b)
     return MlpModel(weights, biases)
 
 
 # ---------------------------------------------------------------------------
-# Portable graymaps (binary P5), silhouettes and CSV
+# Portable graymaps (binary P5) and CSV
 
 
 def export_depth_pgm(img: np.ndarray, path) -> None:
@@ -275,50 +266,6 @@ def export_ssim_pgm(ssim_map: np.ndarray, path) -> None:
     values = np.round(np.clip((arr + 1.0) / 2.0, 0.0, 1.0) * 255.0).astype(np.uint8)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     write_atomic(path, [header + values.tobytes()])
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary P5 graymap into a uint8 or uint16 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(data) and data[pos: pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos: pos + 1] == b"#":
-            while pos < len(data) and data[pos: pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos: pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise StoreError(f"{path}: malformed graymap header")
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace byte after maxval
-    if tokens[0] != b"P5":
-        raise BadMagicError(f"{path}: not a binary graymap (magic {tokens[0]!r})")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
-    n_bytes = width * height * dtype.itemsize
-    raster = data[pos: pos + n_bytes]
-    if len(raster) != n_bytes:
-        raise TruncatedFileError(f"{path}: raster has {len(raster)} bytes, expected {n_bytes}")
-    return np.frombuffer(raster, dtype=dtype).reshape(height, width).copy()
-
-
-def load_silhouette_mask(path) -> np.ndarray:
-    """Binarize an 8-bit graymap at 128 (>= 128 means figure)."""
-    raw = read_pgm(path)
-    if raw.dtype != np.uint8:
-        raise StoreError(f"{path}: graymap is 16-bit; silhouettes must be 8-bit")
-    return raw >= 128
-
-
-def read_silhouette(path, id: int = 0, native_height_m: float = 1.75) -> Silhouette:
-    """A silhouette from an 8-bit binary graymap, binarized at 128."""
-    return Silhouette(id=id, mask=load_silhouette_mask(path), native_height_m=native_height_m)
 
 
 def read_settings(path) -> dict:

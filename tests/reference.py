@@ -5,7 +5,9 @@ textbook formulas) so it shares no code path with the package.
 """
 
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -134,6 +136,32 @@ def dataset_file_bytes(dataset) -> bytes:
                          dataset.img_w, dataset.img_h, dataset.histograms.shape[0])
     records = np.hstack([dataset.histograms, dataset.images]).astype("<f4")
     return header + records.tobytes()
+
+
+def model_file_bytes(model, version=2) -> bytes:
+    """A .tdim file built in one piece: header, then per layer the weight and the
+    bias; v2 holds each weight (fan_in, fan_out) as the model does, v1 its transpose."""
+    dims = model.layer_dims
+    parts = [struct.pack(f"<4sII{len(dims)}I", b"TDIM", version, len(dims), *dims)]
+    for w, b in zip(model.weights, model.biases):
+        parts += [np.asarray(w if version == 2 else w.T, dtype="<f4").tobytes(),
+                  np.asarray(b, dtype="<f4").tobytes()]
+    return b"".join(parts)
+
+
+def read_pgm(path) -> np.ndarray:
+    """A binary P5 graymap without header comments, as uint8 or big-endian uint16."""
+    data = Path(path).read_bytes()
+    head = re.match(rb"(P\d)\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
+    if head is None or head[1] != b"P5":
+        raise ValueError(f"{path}: not a binary graymap")
+    width, height, maxval = (int(v) for v in head.groups()[1:])
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
+    raster = data[head.end():]
+    if len(raster) != width * height * dtype.itemsize:
+        raise ValueError(f"{path}: raster has {len(raster)} bytes, "
+                         f"expected {width * height * dtype.itemsize}")
+    return np.frombuffer(raster, dtype=dtype).reshape(height, width)
 
 
 def dense_forward(model, x):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import read_pgm
 from tdi import cli, forward, metrics, mlp, store
 from tdi.config import SimConfig
 
@@ -141,7 +142,7 @@ def test_train_eval_predict_round_trip(tmp_path, tiny_config):
     assert run(["predict", "--model", train_dir / "model.tdim",
                 "--histogram", hist_csv, "--out", pred_dir,
                 "--config", tiny_config]) == 0
-    pgm = store.read_pgm(pred_dir / "prediction.pgm")
+    pgm = read_pgm(pred_dir / "prediction.pgm")
     assert pgm.shape == (16, 16)
 
 

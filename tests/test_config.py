@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tdi import cli, forward, mlp, pipeline, scene
-from tdi.config import (REFLECTIVITY_TRAININGS, SETTINGS, SPEED_OF_LIGHT, TIME_CONVENTIONS,
-                        SimConfig, format_setting, owned, parse_settings)
+from tdi.config import (NONE_ALLOWED, REFLECTIVITY_TRAININGS, SETTINGS, SPEED_OF_LIGHT,
+                        TIME_CONVENTIONS, SimConfig, check, format_setting, owned,
+                        parse_settings)
 from tdi.store import read_settings
 
 
@@ -120,7 +121,7 @@ def ints_below(bound):
 
 
 # For every key with a rule: NaN, +-inf and out-of-range values it refuses,
-# drawn without reading the rule.
+# drawn without reading the rule, and None where None has no meaning.
 REFUSED = {
     "fov_deg": NONFINITE | at_most(0.0) | at_least(180.0),
     "img_w": ints_below(8),
@@ -149,6 +150,8 @@ REFUSED = {
     "n_test": ints_below(1),
     "reflectivity_training": words_except(REFLECTIVITY_TRAININGS),
 }
+REFUSED.update((key, refused | st.none()) for key, refused in REFUSED.items()
+               if key not in NONE_ALLOWED)
 # The argument of pipeline.sweep_reflectivity that takes each sweep key.
 SWEEP_ARGUMENTS = {"n_test": "n_test", "reflectivity_training": "training"}
 
@@ -181,6 +184,15 @@ def test_every_boundary_refuses_what_the_rule_refuses(key, data):
     for owner in SETTINGS[key][0].split():
         with pytest.raises(ValueError, match=f"^{key} must be "):
             build_owner(owner, key, value)
+
+
+@pytest.mark.parametrize("key", sorted(SETTINGS))
+def test_none_passes_only_where_it_has_a_meaning(key):
+    if key in NONE_ALLOWED:
+        assert check(key, None) is None
+    else:
+        with pytest.raises(ValueError, match=f"^{key} must be .*, got None$"):
+            check(key, None)
 
 
 @pytest.mark.parametrize("make, key", [

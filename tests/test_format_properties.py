@@ -1,8 +1,10 @@
 """Property tests of the file formats and of SSIM.
 
 `.tdid` datasets and `.tdim` models of finite values must read back bit for
-bit for any shape, an empty dataset included, and with any block size, and
-a model's file must hold each weight transposed, (fan_out, fan_in). A
+bit for any shape, an empty dataset included, and a dataset with any block
+size. A model's file must hold each weight as the model does, (fan_in,
+fan_out), and a v1 file, which holds each weight transposed, must read back
+as the same model. A
 histogram CSV must read back its counts and its first bin start, also when
 that is not 0, and refuse a start that is not finite, naming its line. SSIM
 must be symmetric to the last bit and score an image against itself as
@@ -18,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference import model_file_bytes
 from tdi import forward, metrics, mlp, store
 
 FINITE_F4 = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -56,21 +59,21 @@ def models(draw):
     return mlp.MlpModel(weights, biases)
 
 
-@given(model=models(), block_bytes=st.integers(1, 64))
-def test_model_file_round_trips_any_shape(tmp_path_factory, model, block_bytes):
-    # small blocks split each weight's on-disk rows into several, some ending short
+@given(model=models())
+def test_model_file_round_trips_any_shape(tmp_path_factory, model):
     path = tmp_path_factory.mktemp("tdim") / "model.tdim"
-    with mock.patch.object(store, "_BLOCK_BYTES", block_bytes):
-        store.write_model(path, model)
-        back = store.read_model(path)
-    # on disk, each weight is its (fan_out, fan_in) transpose, row-major
+    store.write_model(path, model)
+    # v2: the header, then per layer the weight as the model holds it and the bias
     dims = model.layer_dims
-    layers = [w.T.tobytes() + b.tobytes() for w, b in zip(model.weights, model.biases)]
-    assert path.read_bytes() == struct.pack(f"<4sII{len(dims)}I", b"TDIM", 1, len(dims),
+    layers = [w.tobytes() + b.tobytes() for w, b in zip(model.weights, model.biases)]
+    assert path.read_bytes() == struct.pack(f"<4sII{len(dims)}I", b"TDIM", 2, len(dims),
                                             *dims) + b"".join(layers)
-    assert back.layer_dims == model.layer_dims
-    for got, want in zip(back.weights + back.biases, model.weights + model.biases):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    v1 = path.with_name("model_v1.tdim")
+    v1.write_bytes(model_file_bytes(model, version=1))
+    for back in (store.read_model(path), store.read_model(v1)):
+        assert back.layer_dims == model.layer_dims
+        for got, want in zip(back.weights + back.biases, model.weights + model.biases):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @given(counts=arrays(np.float64, st.integers(2, 300), elements=st.floats(0.0, 1e12)),

@@ -34,17 +34,17 @@ def test_init_deterministic():
 
 
 def test_init_matches_whole_matrix_draw():
-    # drawn block by block, each weight is the transpose of one (fan_out, fan_in)
-    # draw; the first layer's draw rows span several per block, the second's
-    # one each, and the third's rows are longer than a block
+    # drawn block by block, each weight is one (fan_in, fan_out) draw; the
+    # first layer's rows span several per block, the second's are longer than
+    # a block, and no layer's size is a whole number of blocks
     dims = [mlp.ADAM_BLOCK // 16 + 3, 40, mlp.ADAM_BLOCK + 5, 3]
     model = mlp.init_model(dims, seed=11)
     rng = np.random.default_rng(11)
     for w, (fan_in, fan_out) in zip(model.weights, zip(dims[:-1], dims[1:])):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        want = rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(np.float32)
+        want = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
         assert w.shape == (fan_in, fan_out)
-        assert w.tobytes() == np.ascontiguousarray(want.T).tobytes()
+        assert w.tobytes() == want.tobytes()
 
 
 def test_init_peak_memory_is_parameters_plus_one_block(traced_peak):

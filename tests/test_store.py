@@ -8,12 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import dataset_file_bytes
+from reference import dataset_file_bytes, model_file_bytes, read_pgm
 from tdi import forward, mlp, store
 
-# A v1 model file written when models held their weights output-major,
-# (fan_out, fan_in): init_model([9, 6, 4], seed=18) with each bias set to
-# arange(fan_out) / 8 - 0.25.
+# A v1 model file, each weight output-major, (fan_out, fan_in): a [9, 6, 4]
+# model whose biases are arange(fan_out) / 8 - 0.25.
 TINY_V1_MODEL = Path(__file__).parent / "data" / "tiny_v1.tdim"
 
 
@@ -136,7 +135,7 @@ def test_dataset_version_mismatch(tmp_path):
     path = tmp_path / "pairs.tdid"
     store.write_dataset(path, ds)
     blob = bytearray(path.read_bytes())
-    blob[4:8] = struct.pack("<I", store.FORMAT_VERSION + 1)
+    blob[4:8] = struct.pack("<I", store.DATASET_VERSION + 1)
     path.write_bytes(bytes(blob))
     with pytest.raises(store.VersionError):
         store.read_dataset(path)
@@ -233,17 +232,31 @@ def test_model_fixture_reads_its_numbers_and_writes_back_its_bytes(tmp_path):
                                                 -0.27723899483680725]
     assert model.weights[0][8, 5] == np.float32(-0.19213602)
     assert model.weights[1][5, 3] == np.float32(0.25288975)
-    want = mlp.init_model([9, 6, 4], seed=18)
-    for b in want.biases:
-        b[:] = np.arange(b.size, dtype=np.float32) / 8 - 0.25
-    for got, exp in zip(model.weights + model.biases, want.weights + want.biases):
-        assert got.tobytes() == exp.tobytes()
+    for b in model.biases:
+        assert b.tolist() == (np.arange(b.size, dtype=np.float32) / 8 - 0.25).tolist()
     # the output the file's model gave, to float32 rounding of its sums
     np.testing.assert_allclose(mlp.forward(model, np.linspace(0, 1, 9)),
                                [-0.9755359292030334, -0.08345702290534973,
                                 -0.07100537419319153, -0.3246138095855713], rtol=1e-6)
+    # written back as v2: the file's header at version 2, each weight transposed
     store.write_model(tmp_path / "back.tdim", model)
-    assert (tmp_path / "back.tdim").read_bytes() == TINY_V1_MODEL.read_bytes()
+    blob = TINY_V1_MODEL.read_bytes()
+    params = np.frombuffer(blob, "<f4", offset=24)
+    w0, b0 = params[:54].reshape(6, 9), params[54:60]
+    w1, b1 = params[60:84].reshape(4, 6), params[84:]
+    want = (blob[:4] + struct.pack("<I", 2) + blob[8:24]
+            + w0.T.tobytes() + b0.tobytes() + w1.T.tobytes() + b1.tobytes())
+    assert (tmp_path / "back.tdim").read_bytes() == want
+
+
+def test_v1_model_with_a_nan_weight_fails_the_read_naming_its_layer(tmp_path):
+    model = mlp.init_model([16, 8, 4], seed=0)
+    model.weights[1][6, 2] = np.nan
+    path = tmp_path / "nan_v1.tdim"
+    path.write_bytes(model_file_bytes(model, version=1))
+    with pytest.raises(store.StoreError,
+                       match=re.escape(f"{path}: layer 1 weights hold NaN or inf")):
+        store.read_model(path)
 
 
 @pytest.mark.parametrize("layer, part, value", [(0, "weights", np.nan),
@@ -300,7 +313,7 @@ def test_depth_pgm_extremes(tmp_path):
     assert np.all(values == 65535)
 
     store.export_depth_pgm(np.zeros((4, 6)), path)
-    values = store.read_pgm(path)
+    values = read_pgm(path)
     assert values.dtype == np.dtype(">u2") and np.all(values == 0)
 
 
@@ -319,7 +332,7 @@ def test_pgm_round_trip_values(tmp_path):
     img = np.random.default_rng(1).uniform(0, 1, (8, 5))
     path = tmp_path / "r.pgm"
     store.export_depth_pgm(img, path)
-    back = store.read_pgm(path)
+    back = read_pgm(path)
     np.testing.assert_allclose(back / 65535.0, img, atol=0.5 / 65535)
 
 
@@ -327,27 +340,9 @@ def test_ssim_pgm_affine_mapping(tmp_path):
     smap = np.array([[-1.0, 0.0], [0.5, 1.0]])
     path = tmp_path / "s.pgm"
     store.export_ssim_pgm(smap, path)
-    back = store.read_pgm(path)
+    back = read_pgm(path)
     assert back.dtype == np.uint8
     assert back.tolist() == [[0, 128], [191, 255]]
-
-
-def test_silhouette_mask_threshold(tmp_path):
-    raw = np.array([[0, 127], [128, 255]], dtype=np.uint8)
-    path = tmp_path / "mask.pgm"
-    header = f"P5\n2 2\n255\n".encode()
-    path.write_bytes(header + raw.tobytes())
-    mask = store.load_silhouette_mask(path)
-    assert mask.tolist() == [[False, False], [True, True]]
-
-
-def test_silhouette_mask_rejects_16_bit_graymap(tmp_path):
-    # a near-black 200 of 65535 must not pass the 8-bit threshold as figure
-    raw = np.array([[0, 200], [40000, 65535]], dtype=">u2")
-    path = tmp_path / "deep.pgm"
-    path.write_bytes(b"P5\n2 2\n65535\n" + raw.tobytes())
-    with pytest.raises(store.StoreError, match="16-bit; silhouettes must be 8-bit"):
-        store.load_silhouette_mask(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -362,11 +357,11 @@ def test_depth_pgm_rejects_nonfinite_pixels(tmp_path, bad):
 def test_read_pgm_rejects_garbage(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
-    with pytest.raises(store.BadMagicError):
-        store.read_pgm(path)
+    with pytest.raises(ValueError, match="not a binary graymap"):
+        read_pgm(path)
     path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 3)
-    with pytest.raises(store.TruncatedFileError):
-        store.read_pgm(path)
+    with pytest.raises(ValueError, match="raster has 3 bytes, expected 16"):
+        read_pgm(path)
 
 
 def test_write_errors_surface_path(tmp_path):
@@ -458,13 +453,3 @@ def test_concurrent_writes_to_one_path(tmp_path):
     assert not errors
     assert path.read_text() in {f"k\n{k}\n" for k in range(4)}
     assert not list(tmp_path.glob("*.tmp.*"))
-
-
-def test_silhouette_from_pgm_round_trip(tmp_path):
-    raw = np.zeros((6, 4), dtype=np.uint8)
-    raw[1:5, 1:3] = 200
-    path = tmp_path / "figure.pgm"
-    path.write_bytes(b"P5\n4 6\n255\n" + raw.tobytes())
-    sil = store.read_silhouette(path, id=3, native_height_m=1.6)
-    assert sil.id == 3 and sil.native_height_m == 1.6
-    assert np.array_equal(sil.mask, raw >= 128)
