@@ -11,9 +11,9 @@ recomputes only the pixels of its overlay (`scene.overlay`), without
 comparing whole frames. The per-scene rows of `finalize` run on all usable
 cores when histograms are long and get an IRF or noise; each row's bits do
 not depend on how many cores there are.
-`generate_dataset` simulates and finalizes one block of rows at a time, so
-it never holds the float64 raw set: its peak is the float32 dataset plus one
-counts block and the scene list.
+Both finalizing paths write each pair into its row of the dataset's records.
+`generate_dataset` works one block of rows at a time, so its peak is the
+float32 records plus one float64 counts block and the scene list.
 """
 
 from __future__ import annotations
@@ -120,24 +120,23 @@ def _scene_error(exc: ValueError, index) -> ValueError:
     return type(exc)(f"scene {index}: {exc}")
 
 
-def _simulate_rows(built: list, indices: np.ndarray, cfg: SimConfig, backdrops: dict,
-                   counts: np.ndarray, images: np.ndarray) -> None:
+def _backdrop(built: list, cfg: SimConfig) -> forward.BackdropReturns:
+    """The render and returns of the background that every scene of a recipe shares."""
+    return forward.backdrop_returns(scene.render_background(built[0].background, cfg), cfg)
+
+
+def _simulate_rows(built: list, indices: np.ndarray, cfg: SimConfig,
+                   backdrop: forward.BackdropReturns, counts: np.ndarray,
+                   images: np.ndarray) -> None:
     """Simulate scenes built[indices] into the same rows of `counts` and `images`.
 
-    `backdrops` caches, per background, its render and its returns; pass the
-    same dict for every block of one call. Each scene is drawn on a copy of
-    its backdrop, and its histogram recomputes only the pixels its overlay
-    lists. `images` may be float32, which rounds each value as the Dataset
-    cast would.
+    Each scene is drawn on a copy of the backdrop, `_backdrop(built, cfg)`,
+    and its histogram recomputes only the pixels its overlay lists. `images`
+    may be float32, which rounds each value as a cast would.
     """
     for row, index in enumerate(indices):
-        sc = built[index]
         try:
-            if id(sc.background) not in backdrops:
-                backdrops[id(sc.background)] = forward.backdrop_returns(
-                    scene.render_background(sc.background, cfg), cfg)
-            backdrop = backdrops[id(sc.background)]
-            img = scene.render(sc, cfg, backdrop.image)
+            img = scene.render(built[index], cfg, backdrop.image)
             counts[row] = forward.simulate_histogram(img, cfg, backdrop).counts
             images[row] = scene.normalize_image(img, cfg.z_max)
         except ValueError as exc:
@@ -147,7 +146,7 @@ def _simulate_rows(built: list, indices: np.ndarray, cfg: SimConfig, backdrops: 
 def simulate_raw(recipe: DatasetRecipe, scenes=None) -> RawDataset:
     """Render and histogram the listed scenes of build_scenes(recipe), or all.
 
-    Each distinct background is rendered, and its returns computed, once per
+    The recipe's background is rendered, and its returns computed, once per
     call; every scene's placements are drawn onto a copy of the render, and
     its histogram recomputes only the pixels they change (the image's
     `scene.Overlay`).
@@ -159,7 +158,7 @@ def simulate_raw(recipe: DatasetRecipe, scenes=None) -> RawDataset:
         raise ValueError(f"scenes must be a 1-D list of indices in [0, {len(built)})")
     counts = np.empty((len(indices), cfg.bins), dtype=np.float64)
     images = np.empty((len(indices), cfg.img_w * cfg.img_h), dtype=np.float64)
-    _simulate_rows(built, indices, cfg, {}, counts, images)
+    _simulate_rows(built, indices, cfg, _backdrop(built, cfg), counts, images)
     return RawDataset(counts=counts, images=images, recipe=recipe, scenes=indices)
 
 
@@ -221,35 +220,34 @@ def finalize(raw: RawDataset, irf_dt_s: float | None = None,
     cfg = raw.recipe.sim
     dt = check("irf_dt_s", cfg.irf_dt_s if irf_dt_s is None else irf_dt_s)
     level = check("noise_level", cfg.noise_level if noise_level is None else noise_level)
-    out = np.empty(raw.counts.shape, dtype=np.float32)
-    _finalize_rows(raw.counts, raw.scenes, cfg, dt, level, out)
-    return store.Dataset(histograms=out, images=raw.images,
-                         img_w=cfg.img_w, img_h=cfg.img_h)
+    records = np.empty((len(raw), cfg.bins + cfg.img_w * cfg.img_h), dtype=np.float32)
+    _finalize_rows(raw.counts, raw.scenes, cfg, dt, level, records[:, : cfg.bins])
+    records[:, cfg.bins:] = raw.images
+    return store.Dataset(records, cfg.img_w, cfg.img_h)
 
 
 def generate_dataset(recipe: DatasetRecipe) -> store.Dataset:
     """The bytes of finalize(simulate_raw(recipe)), made one block of rows at a time.
 
     Each block of _BLOCK_ROWS scenes is simulated into one reused float64
-    counts block and finalized straight into the float32 dataset, so the
-    peak is the dataset plus one counts block and the scene list, not the
+    counts block and finalized straight into the float32 records, so the
+    peak is the records plus one counts block and the scene list, not the
     whole float64 raw set as well.
     """
     cfg = recipe.sim
     built = build_scenes(recipe)
     n = len(built)
-    histograms = np.empty((n, cfg.bins), dtype=np.float32)
-    images = np.empty((n, cfg.img_w * cfg.img_h), dtype=np.float32)
+    records = np.empty((n, cfg.bins + cfg.img_w * cfg.img_h), dtype=np.float32)
+    histograms, images = records[:, : cfg.bins], records[:, cfg.bins:]
     block = np.empty((min(n, _BLOCK_ROWS), cfg.bins), dtype=np.float64)
-    backdrops = {}
+    backdrop = _backdrop(built, cfg)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(n, lo + _BLOCK_ROWS)
         indices = np.arange(lo, hi)
-        _simulate_rows(built, indices, cfg, backdrops, block[: hi - lo], images[lo:hi])
+        _simulate_rows(built, indices, cfg, backdrop, block[: hi - lo], images[lo:hi])
         _finalize_rows(block[: hi - lo], indices, cfg, cfg.irf_dt_s, cfg.noise_level,
                        histograms[lo:hi])
-    return store.Dataset(histograms=histograms, images=images,
-                         img_w=cfg.img_w, img_h=cfg.img_h)
+    return store.Dataset(records, cfg.img_w, cfg.img_h)
 
 
 def _split_rows(n: int, n_test: int, seed: int):

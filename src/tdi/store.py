@@ -7,6 +7,9 @@ Dataset file ("TDID", version 1): 24-byte header
     magic 4s | version u32 | bins u32 | img_w u32 | img_h u32 | n_records u32
 followed by n_records records, each `bins` float32 histogram values then
 img_w*img_h float32 normalized image values. Everything little-endian.
+A `Dataset` holds the records as the file does, one (n, bins + img_w*img_h)
+float32 array, written as it is and read with one `readinto`. A zero
+`bins`, `img_w` or `img_h` fails the read.
 
 Model file ("TDIM", version 2): magic 4s | version u32 | n_dims u32 |
 n_dims * u32 dims, then per layer its float32 weight as the model holds it,
@@ -18,9 +21,8 @@ fails the read.
 
 Every write goes through `write_atomic`: a temp file beside the target,
 then one rename, so readers never observe a partially written file and a
-failed write leaves the previous file as it was. Dataset records are
-streamed through one reused buffer of about _BLOCK_BYTES in both
-directions, so no whole-payload copy is ever made.
+failed write leaves the previous file as it was. A read checks the payload
+size against the header before it allocates anything.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ MODEL_VERSION = 2
 _MODEL_V1 = 1
 
 _F4 = np.dtype("<f4")
-# Bytes of dataset records staged per read or write; a whole record when larger.
-_BLOCK_BYTES = 1 << 20
 
 
 class StoreError(Exception):
@@ -71,31 +71,48 @@ class HeaderMismatchError(StoreError):
 
 @dataclass
 class Dataset:
-    histograms: np.ndarray   # (n, bins) float32
-    images: np.ndarray       # (n, img_w * img_h) float32, values in [0, 1]
+    """Histogram/image pairs held as the file's records: row k of `records`
+    is pair k, its `bins` histogram values, then its image values in [0, 1].
+
+    `histograms` and `images` are views of the two column ranges, so they
+    are not C-contiguous: the rows are a whole record apart. Code that
+    needs a contiguous buffer, such as `hashlib.sha256`, takes
+    `np.ascontiguousarray` of a view first.
+    """
+
+    records: np.ndarray      # (n, bins + img_w * img_h) float32
     img_w: int
     img_h: int
 
     def __post_init__(self):
-        self.histograms = np.ascontiguousarray(self.histograms, dtype=_F4)
-        self.images = np.ascontiguousarray(self.images, dtype=_F4)
-        if self.histograms.ndim != 2 or self.images.ndim != 2:
-            raise ValueError("histograms and images must be 2-D arrays")
-        if self.histograms.shape[0] != self.images.shape[0]:
-            raise ValueError("histogram and image record counts differ")
-        if self.images.shape[1] != self.img_w * self.img_h:
-            raise ValueError("image vector length does not match img_w * img_h")
-        if not (_finite(self.histograms) and _finite(self.images)):
+        self.records = np.ascontiguousarray(self.records, dtype=_F4)
+        if self.records.ndim != 2:
+            raise ValueError("records must be a 2-D array")
+        if self.img_w < 1 or self.img_h < 1 or self.bins < 1:
+            raise ValueError(f"need img_w, img_h >= 1 and 1 or more histogram bins, got a "
+                             f"{self.img_w} x {self.img_h} image in records of "
+                             f"{self.records.shape[1]} values")
+        if not _finite(self.histograms):
             raise ValueError("stored values must be finite")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
-            raise ValueError("images must be normalized to [0, 1]")
+        images = self.images
+        # negated so that NaN, which fails every comparison, is refused too
+        if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
+            raise ValueError("images must be finite and normalized to [0, 1]")
 
     def __len__(self) -> int:
-        return self.histograms.shape[0]
+        return self.records.shape[0]
 
     @property
     def bins(self) -> int:
-        return self.histograms.shape[1]
+        return self.records.shape[1] - self.img_w * self.img_h
+
+    @property
+    def histograms(self) -> np.ndarray:
+        return self.records[:, : self.bins]
+
+    @property
+    def images(self) -> np.ndarray:
+        return self.records[:, self.bins:]
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -107,10 +124,9 @@ def write_atomic(path, chunks) -> None:
     """Write an iterable of chunks (bytes or C-contiguous arrays) to `path`, in order.
 
     The iterable is consumed lazily: each chunk is written before the next is
-    asked for, so a generator may hand out one reused buffer. If it raises,
-    the previous file stays as it was. The temp name is unique per process
-    and thread, so concurrent writers of one path never share a temp file;
-    the last rename wins.
+    asked for. If it raises, the previous file stays as it was. The temp name
+    is unique per process and thread, so concurrent writers of one path
+    never share a temp file; the last rename wins.
     """
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     try:
@@ -138,28 +154,10 @@ def _read_into(fh, arr: np.ndarray, path, what: str) -> None:
         raise TruncatedFileError(f"{path}: truncated while reading {what}")
 
 
-def _record_blocks(n: int, record_len: int):
-    """(first record, buffer) per block of n dataset records; every block reuses one buffer."""
-    rows = max(1, _BLOCK_BYTES // max(1, 4 * record_len))
-    block = np.empty((min(n, rows), record_len), dtype=_F4)
-    for lo in range(0, n, rows):
-        yield lo, block[: min(rows, n - lo)]
-
-
-def _dataset_chunks(header: bytes, dataset: Dataset):
-    """The header, then the records, assembled block by block."""
-    yield header
-    bins = dataset.bins
-    for lo, part in _record_blocks(len(dataset), bins + dataset.images.shape[1]):
-        part[:, :bins] = dataset.histograms[lo: lo + len(part)]
-        part[:, bins:] = dataset.images[lo: lo + len(part)]
-        yield part
-
-
 def write_dataset(path, dataset: Dataset) -> None:
     header = struct.pack("<4sIIIII", DATASET_MAGIC, DATASET_VERSION,
                          dataset.bins, dataset.img_w, dataset.img_h, len(dataset))
-    write_atomic(path, _dataset_chunks(header, dataset))
+    write_atomic(path, [header, dataset.records])
 
 
 def read_dataset(path) -> Dataset:
@@ -171,6 +169,9 @@ def read_dataset(path) -> Dataset:
         if version != DATASET_VERSION:
             raise VersionError(
                 f"{path}: format version {version}, reader supports {DATASET_VERSION}")
+        for field, value in (("bins", bins), ("img_w", img_w), ("img_h", img_h)):
+            if value == 0:
+                raise HeaderMismatchError(f"{path}: header field {field} is 0")
         record_len = bins + img_w * img_h
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         expected = n * record_len * 4
@@ -180,13 +181,9 @@ def read_dataset(path) -> Dataset:
         if size > expected:
             raise HeaderMismatchError(
                 f"{path}: {size - expected} trailing bytes beyond the declared {n} records")
-        histograms = np.empty((n, bins), dtype=_F4)
-        images = np.empty((n, img_w * img_h), dtype=_F4)
-        for lo, part in _record_blocks(n, record_len):
-            _read_into(fh, part, path, "records")
-            histograms[lo: lo + len(part)] = part[:, :bins]
-            images[lo: lo + len(part)] = part[:, bins:]
-    return Dataset(histograms=histograms, images=images, img_w=img_w, img_h=img_h)
+        records = np.empty((n, record_len), dtype=_F4)
+        _read_into(fh, records, path, "records")
+    return Dataset(records, img_w=img_w, img_h=img_h)
 
 
 def _model_chunks(header: bytes, model):

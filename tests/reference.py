@@ -130,12 +130,16 @@ def reference_train(x, y, config, model, losses=None):
     return model
 
 
+def dataset_records(histograms, images) -> np.ndarray:
+    """The float32 records of a dataset: each histogram, then its image, side by side."""
+    return np.hstack([histograms, images]).astype("<f4")
+
+
 def dataset_file_bytes(dataset) -> bytes:
     """A v1 .tdid file built in one piece: header, then every record side by side."""
     header = struct.pack("<4sIIIII", b"TDID", 1, dataset.histograms.shape[1],
                          dataset.img_w, dataset.img_h, dataset.histograms.shape[0])
-    records = np.hstack([dataset.histograms, dataset.images]).astype("<f4")
-    return header + records.tobytes()
+    return header + dataset_records(dataset.histograms, dataset.images).tobytes()
 
 
 def model_file_bytes(model, version=2) -> bytes:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from reference import (brute_force_ssim_mean, finite_difference_grads,
+from reference import (brute_force_ssim_mean, dataset_records, finite_difference_grads,
                        max_grad_rel_error, sum_expected_photons)
 from tdi import forward, metrics, mlp, pipeline, scene, store
 from tdi.config import SPEED_OF_LIGHT
@@ -307,8 +307,8 @@ def test_criterion_09_ssim_oracle(report):
 
 def test_criterion_10_persistence(report, tmp_path):
     rng = np.random.default_rng(101)
-    ds = store.Dataset(histograms=rng.uniform(0, 9, (40, 64)).astype(np.float32),
-                       images=rng.uniform(0, 1, (40, 36)).astype(np.float32),
+    ds = store.Dataset(dataset_records(rng.uniform(0, 9, (40, 64)).astype(np.float32),
+                                       rng.uniform(0, 1, (40, 36)).astype(np.float32)),
                        img_w=6, img_h=6)
     ds_path = tmp_path / "pairs.tdid"
     store.write_dataset(ds_path, ds)

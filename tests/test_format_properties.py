@@ -1,18 +1,16 @@
 """Property tests of the file formats and of SSIM.
 
 `.tdid` datasets and `.tdim` models of finite values must read back bit for
-bit for any shape, an empty dataset included, and a dataset with any block
-size. A model's file must hold each weight as the model does, (fan_in,
-fan_out), and a v1 file, which holds each weight transposed, must read back
-as the same model. A
-histogram CSV must read back its counts and its first bin start, also when
-that is not 0, and refuse a start that is not finite, naming its line. SSIM
-must be symmetric to the last bit and score an image against itself as
-exactly 1.
+bit for any shape, an empty dataset included. A dataset's file must hold its
+records as the dataset does, and a model's file each weight as the model
+does, (fan_in, fan_out); a v1 model file, which holds each weight
+transposed, must read back as the same model. A histogram CSV must read
+back its counts and its first bin start, also when that is not 0, and
+refuse a start that is not finite, naming its line. SSIM must be symmetric
+to the last bit and score an image against itself as exactly 1.
 """
 
 import struct
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference import model_file_bytes
+from reference import dataset_records, model_file_bytes
 from tdi import forward, metrics, mlp, store
 
 FINITE_F4 = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -32,18 +30,18 @@ def datasets(draw):
     n = draw(st.integers(0, 7))
     bins = draw(st.integers(1, 12))
     w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    return store.Dataset(histograms=draw(arrays(np.float32, (n, bins), elements=FINITE_F4)),
-                         images=draw(arrays(np.float32, (n, w * h), elements=UNIT_F4)),
-                         img_w=w, img_h=h)
+    records = dataset_records(draw(arrays(np.float32, (n, bins), elements=FINITE_F4)),
+                              draw(arrays(np.float32, (n, w * h), elements=UNIT_F4)))
+    return store.Dataset(records, img_w=w, img_h=h)
 
 
-@given(ds=datasets(), block_bytes=st.integers(1, 256))
-def test_dataset_file_round_trips_any_shape(tmp_path_factory, ds, block_bytes):
-    # small blocks split the records into several, some ending short
+@given(ds=datasets())
+def test_dataset_file_round_trips_any_shape(tmp_path_factory, ds):
     path = tmp_path_factory.mktemp("tdid") / "pairs.tdid"
-    with mock.patch.object(store, "_BLOCK_BYTES", block_bytes):
-        store.write_dataset(path, ds)
-        back = store.read_dataset(path)
+    store.write_dataset(path, ds)
+    header = struct.pack("<4sIIIII", b"TDID", 1, ds.bins, ds.img_w, ds.img_h, len(ds))
+    assert path.read_bytes() == header + ds.records.tobytes()
+    back = store.read_dataset(path)
     assert (back.img_w, back.img_h, len(back), back.bins) == (ds.img_w, ds.img_h,
                                                               len(ds), ds.bins)
     assert back.histograms.tobytes() == ds.histograms.tobytes()

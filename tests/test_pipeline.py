@@ -11,7 +11,7 @@ from dataclasses import replace
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import lexsort_histogram, placement_footprint, serial_render
+from reference import dataset_records, lexsort_histogram, placement_footprint, serial_render
 from test_simulate_properties import recipes
 from tdi import forward, mlp, pipeline, scene
 
@@ -191,6 +191,15 @@ def test_generate_dataset_equals_finalize_of_simulate_raw(recipe, irf, noise, bl
     assert (ds.img_w, ds.img_h) == (expected.img_w, expected.img_h)
     assert ds.histograms.tobytes() == expected.histograms.tobytes()
     assert ds.images.tobytes() == expected.images.tobytes()
+
+
+def test_finalized_pairs_are_views_of_one_record_array(tiny_recipe):
+    # both paths write each pair into its record; nothing is copied afterwards
+    for ds in (pipeline.finalize(pipeline.simulate_raw(tiny_recipe)),
+               pipeline.generate_dataset(tiny_recipe)):
+        assert ds.records.flags.c_contiguous and ds.records.flags.owndata
+        assert ds.histograms.base is ds.records and ds.images.base is ds.records
+        assert ds.records.tobytes() == dataset_records(ds.histograms, ds.images).tobytes()
 
 
 def test_generate_dataset_holds_one_block_not_the_raw_set(traced_peak, monkeypatch):

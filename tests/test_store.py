@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import dataset_file_bytes, model_file_bytes, read_pgm
+from reference import dataset_file_bytes, dataset_records, model_file_bytes, read_pgm
 from tdi import forward, mlp, store
 
 # A v1 model file, each weight output-major, (fan_out, fan_in): a [9, 6, 4]
@@ -18,10 +18,8 @@ TINY_V1_MODEL = Path(__file__).parent / "data" / "tiny_v1.tdim"
 
 def random_dataset(n=5, bins=32, w=4, h=4, seed=0):
     rng = np.random.default_rng(seed)
-    return store.Dataset(
-        histograms=rng.uniform(0, 100, (n, bins)).astype(np.float32),
-        images=rng.uniform(0, 1, (n, w * h)).astype(np.float32),
-        img_w=w, img_h=h)
+    return store.Dataset(dataset_records(rng.uniform(0, 100, (n, bins)),
+                                         rng.uniform(0, 1, (n, w * h))), img_w=w, img_h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +44,7 @@ def test_dataset_file_length_formula(tmp_path):
 
 
 def test_dataset_empty_is_header_only(tmp_path):
-    ds = store.Dataset(histograms=np.zeros((0, 16), np.float32),
-                       images=np.zeros((0, 4), np.float32), img_w=2, img_h=2)
+    ds = store.Dataset(np.zeros((0, 16 + 4), np.float32), img_w=2, img_h=2)
     path = tmp_path / "empty.tdid"
     store.write_dataset(path, ds)
     assert path.stat().st_size == 24
@@ -98,11 +95,9 @@ def test_dataset_short_read_is_truncation(tmp_path, monkeypatch):
         store.read_dataset(path)
 
 
-BLOCK_ROWS = store._BLOCK_BYTES // (4 * (200 + 8 * 8))   # records of 200 bins, 8x8 pixels
-
-
-@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [0, 1, 991, 992, 993])
 def test_dataset_round_trip_across_blocks(tmp_path, n):
+    # 992 records of 200 bins and 8x8 pixels fill about 1 MiB
     ds = random_dataset(n=n, bins=200, w=8, h=8, seed=n)
     path = tmp_path / "pairs.tdid"
     store.write_dataset(path, ds)
@@ -114,20 +109,19 @@ def test_dataset_round_trip_across_blocks(tmp_path, n):
 
 
 def test_dataset_read_peak_memory(tmp_path, traced_peak):
-    # the two result arrays and one block buffer; no second copy of the payload
+    # the records read straight into the result; no second copy of the payload
     ds = random_dataset(n=3000, bins=400, w=8, h=8)
     path = tmp_path / "pairs.tdid"
     store.write_dataset(path, ds)
-    payload = ds.histograms.nbytes + ds.images.nbytes
-    assert traced_peak(lambda: store.read_dataset(path)) < 1.1 * payload + store._BLOCK_BYTES
+    assert traced_peak(lambda: store.read_dataset(path)) < ds.records.nbytes + (64 << 10)
 
 
 def test_dataset_write_peak_memory(tmp_path, traced_peak):
-    # records stream out through one block buffer, whatever the dataset size
+    # the records go out as the dataset holds them; no copy of any size
     ds = random_dataset(n=3000, bins=400, w=8, h=8)
-    assert ds.histograms.nbytes + ds.images.nbytes > 5 * store._BLOCK_BYTES
+    assert ds.records.nbytes > 5 << 20
     peak = traced_peak(lambda: store.write_dataset(tmp_path / "pairs.tdid", ds))
-    assert peak < 2 * store._BLOCK_BYTES
+    assert peak < 64 << 10
 
 
 def test_dataset_version_mismatch(tmp_path):
@@ -152,12 +146,30 @@ def test_dataset_trailing_bytes(tmp_path):
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError):
-        store.Dataset(histograms=np.zeros((2, 4), np.float32),
-                      images=np.full((2, 4), 1.5, np.float32), img_w=2, img_h=2)
-    with pytest.raises(ValueError):
-        store.Dataset(histograms=np.zeros((2, 4), np.float32),
-                      images=np.zeros((3, 4), np.float32), img_w=2, img_h=2)
+    with pytest.raises(ValueError, match="normalized"):
+        store.Dataset(dataset_records(np.zeros((2, 4)), np.full((2, 4), 1.5)), img_w=2, img_h=2)
+    with pytest.raises(ValueError, match="normalized"):
+        store.Dataset(dataset_records(np.zeros((2, 4)), np.full((2, 4), np.nan)),
+                      img_w=2, img_h=2)
+    with pytest.raises(ValueError, match="finite"):
+        store.Dataset(dataset_records(np.full((2, 4), np.inf), np.zeros((2, 4))),
+                      img_w=2, img_h=2)
+    for img_w in (2, 0):   # no histogram column, a zero image side
+        with pytest.raises(ValueError, match="need img_w, img_h >= 1 and 1 or more histogram"):
+            store.Dataset(np.zeros((2, 4), np.float32), img_w=img_w, img_h=2)
+
+
+@pytest.mark.parametrize("field", ["bins", "img_w", "img_h"])
+def test_dataset_header_with_a_zero_dimension_fails_naming_it(tmp_path, field):
+    # 3 records whose payload size agrees with the header
+    dims = {"bins": 5, "img_w": 2, "img_h": 3, field: 0}
+    record_len = dims["bins"] + dims["img_w"] * dims["img_h"]
+    path = tmp_path / "pairs.tdid"
+    path.write_bytes(struct.pack("<4sIIIII", b"TDID", 1, *dims.values(), 3)
+                     + np.zeros(3 * record_len, "<f4").tobytes())
+    with pytest.raises(store.HeaderMismatchError,
+                       match=re.escape(f"{path}: header field {field} is 0")):
+        store.read_dataset(path)
 
 
 # ---------------------------------------------------------------------------
