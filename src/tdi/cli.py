@@ -87,8 +87,8 @@ def cmd_train(args) -> int:
     settings = _settings(args)
     tc = mlp.TrainConfig(**owned(settings, "train"))
     ds = store.read_dataset(args.dataset)
-    os.makedirs(args.out, exist_ok=True)
     model, history = mlp.train((ds.histograms, ds.images), tc)
+    os.makedirs(args.out, exist_ok=True)   # only once training has taken the data
     model_path = os.path.join(args.out, "model.tdim")
     store.write_model(model_path, model)
     store.write_csv(os.path.join(args.out, "history.csv"), "epoch,train_loss,val_loss",

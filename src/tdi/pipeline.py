@@ -8,9 +8,12 @@ their scene index, which keys every per-scene random draw, so a subset of
 scenes simulates and finalizes to the same bits as those rows of the whole set.
 Each scene is drawn on a background rendered once per call, and its histogram
 recomputes only the pixels of its overlay (`scene.overlay`), without
-comparing whole frames. The per-scene rows of `finalize` run on all usable
-cores when histograms are long and get an IRF or noise; each row's bits do
-not depend on how many cores there are.
+comparing whole frames. The background travels with the rows
+(`RawDataset.backdrop`), so the IRF blurs its counts once per `finalize`
+call and each row recomputes only the runs of bins where it differs from
+them, to the bytes of the whole-row blur. The per-scene rows of
+`finalize` run on all usable cores when histograms are long and get an IRF
+or noise; each row's bits do not depend on how many cores there are.
 Both finalizing paths write each pair into its row of the dataset's records.
 `generate_dataset` works one block of rows at a time, so its peak is the
 float32 records plus one float64 counts block and the scene list.
@@ -106,13 +109,15 @@ class RawDataset:
     images: np.ndarray        # (n, img_w * img_h) float64 in [0, 1]
     recipe: DatasetRecipe
     scenes: np.ndarray        # (n,) index of each row's scene in build_scenes(recipe)
+    backdrop: forward.BackdropReturns   # the background every scene is drawn on
 
     def __len__(self) -> int:
         return self.counts.shape[0]
 
     def take(self, rows) -> "RawDataset":
         """The given rows, still keyed by their scene indices."""
-        return RawDataset(self.counts[rows], self.images[rows], self.recipe, self.scenes[rows])
+        return RawDataset(self.counts[rows], self.images[rows], self.recipe, self.scenes[rows],
+                          self.backdrop)
 
 
 def _scene_error(exc: ValueError, index) -> ValueError:
@@ -158,8 +163,10 @@ def simulate_raw(recipe: DatasetRecipe, scenes=None) -> RawDataset:
         raise ValueError(f"scenes must be a 1-D list of indices in [0, {len(built)})")
     counts = np.empty((len(indices), cfg.bins), dtype=np.float64)
     images = np.empty((len(indices), cfg.img_w * cfg.img_h), dtype=np.float64)
-    _simulate_rows(built, indices, cfg, _backdrop(built, cfg), counts, images)
-    return RawDataset(counts=counts, images=images, recipe=recipe, scenes=indices)
+    backdrop = _backdrop(built, cfg)
+    _simulate_rows(built, indices, cfg, backdrop, counts, images)
+    return RawDataset(counts=counts, images=images, recipe=recipe, scenes=indices,
+                      backdrop=backdrop)
 
 
 def _usable_cores() -> int:
@@ -186,21 +193,33 @@ def _map_rows(work, n: int) -> None:
         list(pool.map(work, bounds[:-1], bounds[1:]))   # results in chunk order
 
 
+def _irf(cfg: SimConfig, dt: float, backdrop: forward.BackdropReturns):
+    """The IRF of rows drawn on this backdrop, or None when dt is 0.
+
+    The backdrop's counts, summed on their first use, are blurred here once;
+    each row then blurs only the runs of bins where it differs from them, to
+    the bytes of forward.convolve_irf. At dt 0 the counts are not summed.
+    """
+    if dt == 0:
+        return None
+    return forward.backdrop_irf(forward.Histogram(cfg.bin_width_s, backdrop.counts), dt)
+
+
 def _finalize_rows(counts: np.ndarray, scenes: np.ndarray, cfg: SimConfig,
-                   dt: float, level: int, out: np.ndarray) -> None:
+                   irf, level: int, out: np.ndarray) -> None:
     """IRF, noise and normalization of each row of `counts` into float32 `out`.
 
-    Row k is keyed by scene index scenes[k]. Rows of at least
-    _THREADED_MIN_BINS bins that get an IRF or noise run on all usable
-    cores; the bytes are the same either way.
+    Row k is keyed by scene index scenes[k]; `irf` is `_irf(...)`. Rows of
+    at least _THREADED_MIN_BINS bins that get an IRF or noise run on all
+    usable cores; the bytes are the same either way.
     """
     def rows(lo, hi):
         for row in range(lo, hi):
             index = int(scenes[row])
             try:
                 h = forward.Histogram(cfg.bin_width_s, counts[row])
-                if dt > 0:
-                    h = forward.convolve_irf(h, dt)
+                if irf is not None:
+                    h = irf(h)
                 if level:
                     h = forward.add_noise(h, level, seed=(cfg.seed, NOISE_STREAM, index))
                 # float32 as stored: each row rounds here exactly as the Dataset cast would
@@ -208,7 +227,7 @@ def _finalize_rows(counts: np.ndarray, scenes: np.ndarray, cfg: SimConfig,
             except ValueError as exc:
                 raise _scene_error(exc, index) from exc
 
-    if cfg.bins >= _THREADED_MIN_BINS and (dt > 0 or level):
+    if cfg.bins >= _THREADED_MIN_BINS and (irf is not None or level):
         _map_rows(rows, len(counts))
     else:
         rows(0, len(counts))
@@ -221,7 +240,8 @@ def finalize(raw: RawDataset, irf_dt_s: float | None = None,
     dt = check("irf_dt_s", cfg.irf_dt_s if irf_dt_s is None else irf_dt_s)
     level = check("noise_level", cfg.noise_level if noise_level is None else noise_level)
     records = np.empty((len(raw), cfg.bins + cfg.img_w * cfg.img_h), dtype=np.float32)
-    _finalize_rows(raw.counts, raw.scenes, cfg, dt, level, records[:, : cfg.bins])
+    _finalize_rows(raw.counts, raw.scenes, cfg, _irf(cfg, dt, raw.backdrop), level,
+                   records[:, : cfg.bins])
     records[:, cfg.bins:] = raw.images
     return store.Dataset(records, cfg.img_w, cfg.img_h)
 
@@ -241,11 +261,12 @@ def generate_dataset(recipe: DatasetRecipe) -> store.Dataset:
     histograms, images = records[:, : cfg.bins], records[:, cfg.bins:]
     block = np.empty((min(n, _BLOCK_ROWS), cfg.bins), dtype=np.float64)
     backdrop = _backdrop(built, cfg)
+    irf = _irf(cfg, cfg.irf_dt_s, backdrop)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(n, lo + _BLOCK_ROWS)
         indices = np.arange(lo, hi)
         _simulate_rows(built, indices, cfg, backdrop, block[: hi - lo], images[lo:hi])
-        _finalize_rows(block[: hi - lo], indices, cfg, cfg.irf_dt_s, cfg.noise_level,
+        _finalize_rows(block[: hi - lo], indices, cfg, irf, cfg.noise_level,
                        histograms[lo:hi])
     return store.Dataset(records, cfg.img_w, cfg.img_h)
 

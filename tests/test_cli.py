@@ -298,6 +298,20 @@ def test_train_rejects_a_negative_learning_rate(tmp_path, tiny_config, capsys):
     assert not out.exists()
 
 
+def test_train_refused_by_training_leaves_no_out_directory(tmp_path, tiny_config, capsys):
+    # a valid 10-pair dataset is smaller than one batch of 64: training
+    # refuses it before anything is written, so no --out is made
+    data = tmp_path / "data"
+    assert run(["gen", "--out", data, "--config", tiny_config]) == 0
+    ds = store.read_dataset(data / "dataset.tdid")
+    small = tmp_path / "small.tdid"
+    store.write_dataset(str(small), store.Dataset(ds.records[:10], ds.img_w, ds.img_h))
+    out = tmp_path / "t"
+    assert run(["train", "--dataset", small, "--out", out, "--batch", 64]) == 1
+    assert "dataset of 10 pairs is smaller than one batch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_and_train_manifests_feed_every_command(tmp_path, tiny_config):
     data = tmp_path / "data"
     assert run(["gen", "--out", data, "--config", tiny_config]) == 0

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -275,6 +276,103 @@ def test_convolve_keeps_counts_away_from_edges(bin_width_s, dt_bins, extra, spot
 def test_convolve_rejects_negative_width():
     with pytest.raises(ValueError):
         forward.convolve_irf(delta_histogram(), -1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the IRF relative to a backdrop blurred once: the bytes of convolve_irf
+
+
+def irf_width(half, bin_width_s=1e-11):
+    """An IRF 1/e half-width whose kernel reaches `half` bins each side."""
+    dt = (half - 0.5) * bin_width_s / 4.0
+    assert forward._irf_kernel(bin_width_s, dt)[0] == half
+    return dt
+
+
+def assert_backdrop_blur_is_whole_row_blur(backdrop, row, half, bin_width_s=1e-11):
+    dt = irf_width(half, bin_width_s)
+    want = forward.convolve_irf(forward.Histogram(bin_width_s, row), dt)
+    # as shipped, and by runs for every kernel that fits the row, short ones too
+    for taps in (forward._SHORT_KERNEL_TAPS, 0):
+        with mock.patch.object(forward, "_SHORT_KERNEL_TAPS", taps):
+            blur = forward.backdrop_irf(forward.Histogram(bin_width_s, backdrop), dt)
+            got = blur(forward.Histogram(bin_width_s, row))
+        assert got.counts.tobytes() == want.counts.tobytes()
+
+
+@st.composite
+def backdrops_and_rows(draw):
+    """A backdrop, a row that differs from it in runs of bins, and a kernel half-width.
+
+    Runs may start at the first bin or end at the last; half-widths run
+    from 1 to wider than the row. Values are drawn by numpy from a drawn seed.
+    """
+    n = draw(st.integers(2, 3000))
+    half = draw(st.sampled_from([1, 2, 5, 6, 60, 240]) | st.integers(n // 2, n + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def counts(size):
+        # zeros, negative zeros and values over ten decades
+        values = 10.0 ** rng.uniform(-5, 5, size)
+        values[rng.random(size) < 0.4] = 0.0
+        values[rng.random(size) < 0.05] = -0.0
+        return values
+
+    backdrop = np.zeros(n) if draw(st.booleans()) else counts(n)
+    row = backdrop.copy()
+    starts = st.sampled_from([0, n - 1]) | st.integers(0, n - 1)
+    for start, length in draw(st.lists(st.tuples(starts, st.integers(1, 40)), max_size=6)):
+        stop = min(n, start + length)
+        row[start:stop] = counts(stop - start)
+    return backdrop, row, half
+
+
+@given(case=backdrops_and_rows())
+def test_backdrop_irf_is_byte_equal_to_convolve_irf(case):
+    assert_backdrop_blur_is_whole_row_blur(*case)
+
+
+@pytest.mark.parametrize("half", [1, 5, 60, 999, 1000, 1500])
+@pytest.mark.parametrize("backdrop_kind", ["zeros", "lit"])
+@pytest.mark.parametrize("changed", [[], [0], [1999], [0, 1999], [1000]])
+def test_backdrop_irf_at_the_edges(half, backdrop_kind, changed):
+    # the row equal to its backdrop, or changed at the first or last bin;
+    # from half 1000 on the kernel is wider than the 2000-bin row
+    rng = np.random.default_rng(half)
+    backdrop = np.zeros(2000) if backdrop_kind == "zeros" else rng.uniform(0, 9, 2000)
+    row = backdrop.copy()
+    row[changed] += 1.0
+    assert_backdrop_blur_is_whole_row_blur(backdrop, row, half)
+
+
+@pytest.mark.parametrize("half", [1, 200])
+@pytest.mark.parametrize("beyond", [-1, 0, 1, 2])
+def test_backdrop_irf_around_the_merge_gap(half, beyond):
+    # two changed runs this many bins past the merge gap apart: blurred as
+    # one run up to it, apart beyond it
+    gap = max(2 * half, forward._MIN_RUN_GAP)
+    rng = np.random.default_rng(7)
+    backdrop = rng.uniform(0, 9, 3000)
+    row = backdrop.copy()
+    first = 1000
+    second = first + 1 + gap + beyond
+    row[first - 3: first + 1] *= 2.0
+    row[second: second + 3] = 0.0
+    assert_backdrop_blur_is_whole_row_blur(backdrop, row, half)
+
+
+def test_backdrop_irf_zero_width_is_identity():
+    h = delta_histogram()
+    assert forward.backdrop_irf(delta_histogram(at=5), 0.0)(h).counts.tobytes() == \
+        h.counts.tobytes()
+
+
+def test_backdrop_irf_rejects_another_geometry():
+    blur = forward.backdrop_irf(delta_histogram(bins=2000), irf_width(half=40))
+    with pytest.raises(ValueError, match="histogram has 1999 bins"):
+        blur(forward.Histogram(1e-11, np.zeros(1999)))
+    with pytest.raises(ValueError, match="the backdrop 2000 of 1e-11 s"):
+        blur(forward.Histogram(2e-11, np.zeros(2000)))
 
 
 # ---------------------------------------------------------------------------

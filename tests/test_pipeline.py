@@ -105,6 +105,49 @@ def test_finalize_matches_serial_loop(tiny_recipe):
     assert ds.images.tobytes() == raw.images.astype(np.float32).tobytes()
 
 
+def test_raw_backdrop_counts_are_the_bare_background_histogram(tiny_recipe):
+    cfg = tiny_recipe.sim
+    raw = pipeline.simulate_raw(tiny_recipe, scenes=[7, 0, 23])
+    background = pipeline.build_scenes(tiny_recipe)[0].background
+    bare = forward.simulate_histogram(scene.render_background(background, cfg), cfg)
+    assert bare.counts.any()
+    assert raw.backdrop.counts.tobytes() == bare.counts.tobytes()
+    assert raw.take([2, 2]).backdrop.counts.tobytes() == bare.counts.tobytes()
+
+
+def corner_background(cfg, box_z=3.0):
+    """A wall seen only at the top-left pixel, two boxes at box_z hiding the rest."""
+    step = box_z / cfg.focal_px             # one pixel at the boxes' depth
+    u = scene.pixel_offsets(cfg.img_w)[0]   # the first column's offset
+    wide, tall = cfg.img_w * step, cfg.img_h * step
+    return scene.Background(wall_depth_m=4.0, objects=[
+        scene.Box(x=0.5 * step, y=0.0, z=box_z, width=wide - step, height=2 * tall),
+        scene.Box(x=u * step, y=-0.5 * step, z=box_z, width=step, height=tall - step)])
+
+
+def test_overrunning_backdrop_gets_zero_counts_and_finalizes_as_the_serial_loop(
+        tiny_recipe, monkeypatch):
+    # the span ends before the visible wall pixel, so the backdrop's returns
+    # overrun it; scenes 0 and 1 cover that pixel, and finalize blurs their
+    # rows against zero counts to the bytes of the whole-row loop
+    cfg = tiny_recipe.sim.with_(bins=330, bin_width_s=tiny_recipe.sim.bin_width_s)
+    monkeypatch.setitem(pipeline.BACKGROUNDS, "uniform", lambda: corner_background(cfg))
+    recipe = replace(tiny_recipe, sim=cfg, background="uniform")
+    bare = scene.render_background(pipeline.build_scenes(recipe)[0].background, cfg)
+    assert np.flatnonzero(bare.depth_m.ravel() == 4.0).tolist() == [0]
+    with pytest.raises(forward.SpanError):
+        forward.simulate_histogram(bare, cfg)
+    raw = pipeline.simulate_raw(recipe, scenes=[0, 1])
+    assert raw.backdrop.counts.tobytes() == np.zeros(cfg.bins).tobytes()
+    rows = []
+    for counts, index in zip(raw.counts, raw.scenes):
+        h = forward.convolve_irf(forward.Histogram(cfg.bin_width_s, counts), 250e-12)
+        h = forward.add_noise(h, 2, seed=(cfg.seed, pipeline.NOISE_STREAM, int(index)))
+        rows.append(forward.normalize_histogram(h))
+    ds = pipeline.finalize(raw, irf_dt_s=250e-12, noise_level=2)
+    assert ds.histograms.tobytes() == np.array(rows, dtype=np.float32).tobytes()
+
+
 @pytest.fixture
 def chunks(monkeypatch):
     """Split finalize's rows into `n` chunks, whatever the histogram length or core count."""
