@@ -74,8 +74,8 @@ def _recipe(preset: str, settings: dict) -> pipeline.DatasetRecipe:
 def cmd_gen(args) -> int:
     settings = _settings(args)
     recipe = _recipe(args.preset, settings)
-    os.makedirs(args.out, exist_ok=True)
     ds = pipeline.generate_dataset(recipe)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "dataset.tdid")
     store.write_dataset(path, ds)
     write_manifest(args.out, "gen", settings, recipe.sim, recipe)
@@ -129,8 +129,8 @@ def cmd_predict(args) -> int:
     settings = _settings(args)
     recipe = _recipe(args.preset, settings)
     h = store.read_histogram_csv(args.histogram)
-    os.makedirs(args.out, exist_ok=True)
     img = mlp.predict(model, h, recipe.sim)
+    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "prediction.pgm")
     store.export_depth_pgm(img.depth_m / recipe.sim.z_max, out_path)
     write_manifest(args.out, "predict", settings, recipe.sim)
@@ -143,7 +143,6 @@ def cmd_sweep(args) -> int:
     recipe = _recipe(args.preset, settings)
     tc = mlp.TrainConfig(**owned(settings, "train"))
     sweep = {**SWEEP_DEFAULTS, **owned(settings, "sweep")}
-    os.makedirs(args.out, exist_ok=True)
     run, n_test = _SWEEPS[args.kind], sweep["n_test"]
     if args.kind == "reflectivity":   # simulates only the scenes it trains on or scores
         points = run(recipe, tc, n_test, training=sweep["reflectivity_training"])
@@ -156,6 +155,7 @@ def cmd_sweep(args) -> int:
             print(f"sweep point {p.label} failed: {p.error}", file=sys.stderr)
         else:
             rows.append((p.label, repr(p.mean_ssim)))
+    os.makedirs(args.out, exist_ok=True)
     store.write_csv(os.path.join(args.out, "sweep.csv"), "point,mean_ssim", rows)
     write_manifest(args.out, f"sweep:{args.kind}", settings, recipe.sim, recipe, tc, sweep)
     for label, value in rows:
@@ -182,15 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
+    def common(p):
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="key-value config file")
         p.add_argument("--preset", choices=sorted(_PRESETS), default="desk")
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("gen", help="generate a histogram/image dataset")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", dest="n_silhouettes", type=int, help="number of silhouettes")
     p.add_argument("--background", choices=pipeline.BACKGROUND_KINDS)
     p.add_argument("--reflectivity", type=float, help="fixed silhouette reflectivity")
@@ -227,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run one of the study sweeps")
     p.add_argument("--kind", required=True, choices=tuple(_SWEEPS))
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", dest="batch_size", type=int)
     p.add_argument("--n-test", dest="n_test", type=int)

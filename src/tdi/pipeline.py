@@ -7,8 +7,8 @@ under different IRF widths or noise levels without re-rendering. Rows keep
 their scene index, which keys every per-scene random draw, so a subset of
 scenes simulates and finalizes to the same bits as those rows of the whole set.
 Each scene is drawn on a background rendered once per call, and its histogram
-recomputes only the pixels of its overlay (`scene.overlay`), without
-comparing whole frames. The background travels with the rows
+recomputes only the pixels of the overlay that `scene.render` keeps on the
+image, without comparing whole frames. The background travels with the rows
 (`RawDataset.backdrop`), so the IRF blurs its counts once per `finalize`
 call and each row recomputes only the runs of bins where it differs from
 them, to the bytes of the whole-row blur. The per-scene rows of

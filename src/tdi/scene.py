@@ -7,17 +7,15 @@ occlusion. Rendering is a pure function of (scene, config); a pixel belongs
 to a surface iff its center falls inside that surface's projected footprint.
 
 A placement's footprint is a rectangle of the frame plus a boolean sub-mask
-(`placement_rect`). A scene drawn on its background render is described by
-its overlay: the ascending flat indices of the pixels its placements change,
-with their new depth and reflectance. Computing it touches only the
-rectangle that bounds the footprints; `render` is a copy of the background
-render with the overlay written in, and the image it returns keeps the
-overlay, so the histogram recomputes only those pixels.
+(`placement_rect`). `render` draws each sub-mask into one copy of the
+background render, then compares that frame with the background once to
+find the overlay: the ascending flat indices of the pixels the placements
+changed, with their new depth and reflectance. The image it returns keeps
+the overlay, so the histogram recomputes only those pixels.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -185,14 +183,6 @@ def pixel_offsets(n: int) -> np.ndarray:
     return (np.arange(n, dtype=np.float64) - n / 2.0) + 0.5
 
 
-@functools.lru_cache(maxsize=16)
-def _flat_indices(h: int, w: int) -> np.ndarray:
-    """Read-only (h, w) grid of row-major flat pixel indices, made once per frame size."""
-    grid = np.arange(h * w).reshape(h, w)
-    grid.flags.writeable = False
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # Procedural silhouettes
 
@@ -347,55 +337,6 @@ class Overlay:
     depth_m: np.ndarray         # (k,) float64
     reflectance: np.ndarray     # (k,) float64
 
-    def image(self) -> DepthImage:
-        """The whole render: a read-only copy of the backdrop with the changed
-        pixels replaced, carrying this overlay."""
-        depth, refl = self.backdrop.depth_m.copy(), self.backdrop.reflectance.copy()
-        depth.put(self.pixels, self.depth_m)
-        refl.put(self.pixels, self.reflectance)
-        depth.flags.writeable = refl.flags.writeable = False
-        return DepthImage(depth_m=depth, reflectance=refl, overlay=self)
-
-
-def overlay(scene: Scene, cfg: SimConfig, backdrop: DepthImage) -> Overlay:
-    """The pixels a scene's placements change on `backdrop`, and their new values.
-
-    `backdrop` must be `render_background(scene.background, cfg)`. Work stays
-    inside the rectangle that bounds the placements' footprints: each
-    placement covers the pixels of its sub-mask that are farther than what
-    the backdrop and the earlier placements left there, as in a whole-frame
-    render.
-    """
-    bg = scene.background
-    if bg.wall_depth_m > cfg.z_max:
-        raise ValueError(f"wall depth {bg.wall_depth_m} m exceeds z_max {cfg.z_max} m")
-    drawn = []
-    for p in scene.placements:
-        if not (cfg.z_min <= p.z <= cfg.z_max):
-            raise ValueError(
-                f"placement depth {p.z} m outside configured range "
-                f"[{cfg.z_min}, {cfg.z_max}] m")
-        r0, c0, sub = placement_rect(p, cfg)
-        if sub.size:
-            drawn.append((p, r0, c0, sub))
-    if not drawn:
-        return Overlay(backdrop, np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
-    top = min(r0 for _, r0, _, _ in drawn)
-    left = min(c0 for _, _, c0, _ in drawn)
-    box = (slice(top, max(r0 + sub.shape[0] for _, r0, _, sub in drawn)),
-           slice(left, max(c0 + sub.shape[1] for _, _, c0, sub in drawn)))
-    depth = backdrop.depth_m[box].copy()
-    refl = backdrop.reflectance[box].copy()
-    for p, r0, c0, sub in drawn:
-        at = (slice(r0 - top, r0 - top + sub.shape[0]),
-              slice(c0 - left, c0 - left + sub.shape[1]))
-        hit = sub & (p.z < depth[at])
-        depth[at][hit] = p.z
-        refl[at][hit] = p.reflectivity
-    changed = depth < backdrop.depth_m[box]
-    pixels = _flat_indices(cfg.img_h, cfg.img_w)[box][changed]
-    return Overlay(backdrop, pixels, depth[changed], refl[changed])
-
 
 def render(scene: Scene, cfg: SimConfig, backdrop: DepthImage | None = None) -> DepthImage:
     """Project a scene to a depth + reflectance image (nearest surface wins).
@@ -404,14 +345,31 @@ def render(scene: Scene, cfg: SimConfig, backdrop: DepthImage | None = None) -> 
     overwrite pixels they cover whenever they are closer than what is
     already there. Placements that project fully outside the frame simply
     leave no footprint. `backdrop`, when given, must be
-    `render_background(scene.background, cfg)`; the scene's `overlay` is
-    drawn onto a copy of it, so one background render serves many scenes,
-    and the image keeps that overlay, so `forward.simulate_histogram` can
-    recompute only the pixels it lists.
+    `render_background(scene.background, cfg)`; each placement's sub-mask is
+    drawn into one copy of it, so one background render serves many scenes.
+    The read-only image keeps its `Overlay` on that backdrop, so
+    `forward.simulate_histogram` can recompute only the pixels it lists.
     """
+    bg = scene.background
+    if bg.wall_depth_m > cfg.z_max:
+        raise ValueError(f"wall depth {bg.wall_depth_m} m exceeds z_max {cfg.z_max} m")
     if backdrop is None:
-        backdrop = render_background(scene.background, cfg)
-    return overlay(scene, cfg, backdrop).image()
+        backdrop = render_background(bg, cfg)
+    depth, refl = backdrop.depth_m.copy(), backdrop.reflectance.copy()
+    for p in scene.placements:
+        if not (cfg.z_min <= p.z <= cfg.z_max):
+            raise ValueError(
+                f"placement depth {p.z} m outside configured range "
+                f"[{cfg.z_min}, {cfg.z_max}] m")
+        r0, c0, sub = placement_rect(p, cfg)
+        at = (slice(r0, r0 + sub.shape[0]), slice(c0, c0 + sub.shape[1]))
+        hit = sub & (p.z < depth[at])
+        depth[at][hit] = p.z
+        refl[at][hit] = p.reflectivity
+    pixels = np.flatnonzero(depth < backdrop.depth_m)
+    depth.flags.writeable = refl.flags.writeable = False
+    drawn = Overlay(backdrop, pixels, depth.take(pixels), refl.take(pixels))
+    return DepthImage(depth_m=depth, reflectance=refl, overlay=drawn)
 
 
 def augment(silhouettes: list, background: Background, cfg: SimConfig,

@@ -298,18 +298,52 @@ def test_train_rejects_a_negative_learning_rate(tmp_path, tiny_config, capsys):
     assert not out.exists()
 
 
-def test_train_refused_by_training_leaves_no_out_directory(tmp_path, tiny_config, capsys):
-    # a valid 10-pair dataset is smaller than one batch of 64: training
-    # refuses it before anything is written, so no --out is made
-    data = tmp_path / "data"
-    assert run(["gen", "--out", data, "--config", tiny_config]) == 0
-    ds = store.read_dataset(data / "dataset.tdid")
-    small = tmp_path / "small.tdid"
-    store.write_dataset(str(small), store.Dataset(ds.records[:10], ds.img_w, ds.img_h))
-    out = tmp_path / "t"
-    assert run(["train", "--dataset", small, "--out", out, "--batch", 64]) == 1
-    assert "dataset of 10 pairs is smaller than one batch" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["gen", "predict", "sweep", "train", "eval"])
+def test_refused_run_leaves_no_out_directory(command, tmp_path, tiny_config, capsys):
+    # each run reads valid inputs and is refused by its own work, before
+    # anything is written, so no --out is made
+    out = tmp_path / "out"
+    if command in ("gen", "sweep"):
+        far = tmp_path / "far.cfg"   # the 4 m wall lies past a 3 m z_max
+        far.write_text(TINY_CONFIG + "z_max = 3.0\n")
+        argv = ["--count", 1] if command == "gen" else ["--kind", "irf"]
+        argv += ["--config", far]
+        error = "scene 0: wall depth 4.0 m exceeds z_max 3.0 m"
+    elif command == "predict":
+        store.write_model(tmp_path / "model.tdim", mlp.init_model([400, 8, 256], seed=0))
+        hist_csv = tmp_path / "fine.csv"
+        store.write_histogram_csv(forward.Histogram(1e-12, np.ones(400)), hist_csv)
+        argv = ["--model", tmp_path / "model.tdim", "--histogram", hist_csv,
+                "--config", tiny_config]
+        error = "histogram bin width 1e-12 s differs"
+    else:
+        data = tmp_path / "data"
+        assert run(["gen", "--out", data, "--config", tiny_config]) == 0
+        capsys.readouterr()
+        ds = store.read_dataset(data / "dataset.tdid")
+        if command == "train":   # 10 pairs are fewer than one batch of 64
+            small = tmp_path / "small.tdid"
+            store.write_dataset(str(small), store.Dataset(ds.records[:10], ds.img_w, ds.img_h))
+            argv = ["--dataset", small, "--batch", 64]
+            error = "dataset of 10 pairs is smaller than one batch"
+        else:
+            store.write_model(tmp_path / "narrow.tdim", mlp.init_model([400, 8, 16], seed=0))
+            argv = ["--model", tmp_path / "narrow.tdim", "--dataset", data / "dataset.tdid"]
+            error = "model outputs 16 pixels"
+    assert run([command, "--out", out, *argv]) == 1
+    assert error in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_predict_takes_no_seed(tmp_path, tiny_config, capsys):
+    # predict draws no random number, so it has no --seed to take
+    with pytest.raises(SystemExit) as refused:
+        run(["predict", "--model", tmp_path / "model.tdim", "--histogram",
+             tmp_path / "h.csv", "--out", tmp_path / "pred", "--config", tiny_config,
+             "--seed", "3"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()
 
 
 def test_gen_and_train_manifests_feed_every_command(tmp_path, tiny_config):

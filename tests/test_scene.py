@@ -95,6 +95,19 @@ def test_render_empty_scene_is_wall():
     assert img.depth_m.shape == (64, 64)
     assert np.all(img.depth_m == 4.0)
     assert np.all(img.reflectance == 1.0)
+    # no placement, or one wholly outside the frame: the backdrop's bytes
+    # and an empty overlay
+    sil = scene.generate_silhouettes(1, seed=2)[0]
+    bg = scene.default_background()
+    backdrop = scene.render_background(bg, CFG)
+    outside = scene.Placement(sil, x=50.0, z=2.0)
+    assert scene.placement_rect(outside, CFG)[2].size == 0
+    for placements in ([], [outside]):
+        img = scene.render(scene.Scene(bg, placements), CFG, backdrop)
+        assert img.depth_m.tobytes() == backdrop.depth_m.tobytes()
+        assert img.reflectance.tobytes() == backdrop.reflectance.tobytes()
+        assert img.overlay.pixels.dtype == np.int64
+        assert img.overlay.pixels.size == 0
 
 
 def test_render_occlusion_rule():
@@ -199,7 +212,7 @@ def test_placement_behind_a_closer_box_changes_nothing():
     sc = scene.Scene(scene.default_background(), [hidden_placement()])
     assert placement_footprint(sc.placements[0], CFG).any()
     backdrop = scene.render_background(sc.background, CFG)
-    assert scene.overlay(sc, CFG, backdrop).pixels.size == 0
+    assert scene.render(sc, CFG, backdrop).overlay.pixels.size == 0
 
 
 @given(drawn=scenes(), data=st.data())
