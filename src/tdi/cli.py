@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 0
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

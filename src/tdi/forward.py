@@ -111,34 +111,30 @@ class BackdropReturns:
     """A backdrop render and its returns, sorted by photon value.
 
     `rank` maps each flat pixel index to the position of its return in the
-    sorted `bins` and `photons`, or -1 where the pixel returns nothing. All
-    three are None when some backdrop return arrives beyond the histogram
-    span: a scene may still hide it, so such scenes take the whole-image
-    path, which raises only if the return shows.
+    sorted `bins` and `photons`, or -1 where the pixel returns nothing.
     """
 
     image: DepthImage
     n_bins: int
-    rank: np.ndarray | None
-    bins: np.ndarray | None
-    photons: np.ndarray | None
+    rank: np.ndarray
+    bins: np.ndarray
+    photons: np.ndarray
 
     @functools.cached_property
     def counts(self) -> np.ndarray:
-        """The bytes of the backdrop's own simulate_histogram, summed on first
-        use; all zeros when its returns overrun the span."""
-        if self.rank is None:
-            return np.zeros(self.n_bins)
+        """The bytes of the backdrop's own simulate_histogram, summed on first use."""
         return np.bincount(self.bins, weights=self.photons, minlength=self.n_bins)
 
 
 def backdrop_returns(backdrop: DepthImage, cfg: SimConfig) -> BackdropReturns:
-    """Compute a backdrop's returns once, for simulate_histogram to reuse."""
+    """Compute a backdrop's returns once, for simulate_histogram to reuse.
+
+    Raises SpanError when any of them arrives beyond the last bin. A scene
+    drawn on a rendered background only brings pixels closer, so its returns
+    fit the span whenever the backdrop's do.
+    """
     pixels = np.flatnonzero(backdrop.depth_m > 0)
-    try:
-        bins, photons = _image_returns(backdrop, pixels, cfg)
-    except SpanError:
-        return BackdropReturns(backdrop, cfg.bins, None, None, None)
+    bins, photons = _image_returns(backdrop, pixels, cfg)
     order = np.argsort(photons)
     rank = np.full(backdrop.depth_m.size, -1, dtype=np.int64)
     rank[pixels[order]] = np.arange(pixels.size)
@@ -164,8 +160,7 @@ def simulate_histogram(img: DepthImage, cfg: SimConfig,
         raise ValueError(
             f"image is {img.depth_m.shape}, config expects {(cfg.img_h, cfg.img_w)}")
     drawn = img.overlay
-    if (backdrop is not None and backdrop.rank is not None and drawn is not None
-            and drawn.backdrop is backdrop.image):
+    if backdrop is not None and drawn is not None and drawn.backdrop is backdrop.image:
         return Histogram(cfg.bin_width_s, _merged_counts(backdrop, drawn, cfg))
     pixels = np.flatnonzero(img.depth_m > 0)
     bins, photons = _image_returns(img, pixels, cfg)

@@ -8,12 +8,15 @@ their scene index, which keys every per-scene random draw, so a subset of
 scenes simulates and finalizes to the same bits as those rows of the whole set.
 Each scene is drawn on a background rendered once per call, and its histogram
 recomputes only the pixels of the overlay that `scene.render` keeps on the
-image, without comparing whole frames. The background travels with the rows
-(`RawDataset.backdrop`), so the IRF blurs its counts once per `finalize`
-call and each row recomputes only the runs of bins where it differs from
-them, to the bytes of the whole-row blur. The per-scene rows of
-`finalize` run on all usable cores when histograms are long and get an IRF
-or noise; each row's bits do not depend on how many cores there are.
+image, without comparing whole frames. A background that cannot be
+simulated, such as one whose returns arrive past the histogram span, fails
+once, before any scene, with an error prefixed `background: `. The
+background travels with the rows (`RawDataset.backdrop`), so the IRF blurs
+its counts once per `finalize` call and each row recomputes only the runs
+of bins where it differs from them, to the bytes of the whole-row blur.
+The per-scene rows of `finalize` run on all usable cores when histograms
+are long and get an IRF or noise; each row's bits do not depend on how
+many cores there are.
 Both finalizing paths write each pair into its row of the dataset's records.
 `generate_dataset` works one block of rows at a time, so its peak is the
 float32 records plus one float64 counts block and the scene list.
@@ -120,14 +123,22 @@ class RawDataset:
                           self.backdrop)
 
 
-def _scene_error(exc: ValueError, index) -> ValueError:
-    """The same kind of error, its message prefixed with the scene's index."""
-    return type(exc)(f"scene {index}: {exc}")
+def _named_error(exc: ValueError, where: str) -> ValueError:
+    """The same kind of error, its message prefixed with where it arose."""
+    return type(exc)(f"{where}: {exc}")
 
 
 def _backdrop(built: list, cfg: SimConfig) -> forward.BackdropReturns:
-    """The render and returns of the background that every scene of a recipe shares."""
-    return forward.backdrop_returns(scene.render_background(built[0].background, cfg), cfg)
+    """The render and returns of the background that every scene of a recipe shares.
+
+    A background that cannot be simulated, such as one whose returns arrive
+    beyond the histogram span, fails here, before any scene, with an error
+    of the same kind prefixed `background: `.
+    """
+    try:
+        return forward.backdrop_returns(scene.render_background(built[0].background, cfg), cfg)
+    except ValueError as exc:
+        raise _named_error(exc, "background") from exc
 
 
 def _simulate_rows(built: list, indices: np.ndarray, cfg: SimConfig,
@@ -145,7 +156,7 @@ def _simulate_rows(built: list, indices: np.ndarray, cfg: SimConfig,
             counts[row] = forward.simulate_histogram(img, cfg, backdrop).counts
             images[row] = scene.normalize_image(img, cfg.z_max)
         except ValueError as exc:
-            raise _scene_error(exc, index) from exc
+            raise _named_error(exc, f"scene {index}") from exc
 
 
 def simulate_raw(recipe: DatasetRecipe, scenes=None) -> RawDataset:
@@ -225,7 +236,7 @@ def _finalize_rows(counts: np.ndarray, scenes: np.ndarray, cfg: SimConfig,
                 # float32 as stored: each row rounds here exactly as the Dataset cast would
                 out[row] = forward.normalize_histogram(h)
             except ValueError as exc:
-                raise _scene_error(exc, index) from exc
+                raise _named_error(exc, f"scene {index}") from exc
 
     if cfg.bins >= _THREADED_MIN_BINS and (irf is not None or level):
         _map_rows(rows, len(counts))

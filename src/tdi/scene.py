@@ -64,10 +64,6 @@ class Placement:
     def __post_init__(self):
         check("reflectivity", self.reflectivity)
 
-    @property
-    def silhouette_id(self) -> int:
-        return self.silhouette.id
-
     def mirror(self) -> "Placement":
         """The horizontally mirrored counterpart of this placement."""
         return Placement(self.silhouette, -self.x, self.y, self.z,
@@ -138,14 +134,6 @@ class DepthImage:
         if self.depth_m.size and not (self.depth_m.min() >= 0.0
                                       and math.isfinite(self.depth_m.max())):
             raise ValueError("depth values must be finite and >= 0")
-
-    @property
-    def height(self) -> int:
-        return self.depth_m.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.depth_m.shape[1]
 
 
 def default_background() -> Background:
@@ -301,7 +289,10 @@ def render_background(bg: Background, cfg: SimConfig) -> DepthImage:
 
     Its arrays are read-only, as a render's are: `forward.backdrop_returns`
     caches returns computed from them, which a later write would leave stale.
+    A wall beyond z_max is refused.
     """
+    if bg.wall_depth_m > cfg.z_max:
+        raise ValueError(f"wall depth {bg.wall_depth_m} m exceeds z_max {cfg.z_max} m")
     depth = np.full((cfg.img_h, cfg.img_w), bg.wall_depth_m, dtype=np.float64)
     refl = np.full((cfg.img_h, cfg.img_w), bg.wall_reflectivity, dtype=np.float64)
 
@@ -350,11 +341,8 @@ def render(scene: Scene, cfg: SimConfig, backdrop: DepthImage | None = None) -> 
     The read-only image keeps its `Overlay` on that backdrop, so
     `forward.simulate_histogram` can recompute only the pixels it lists.
     """
-    bg = scene.background
-    if bg.wall_depth_m > cfg.z_max:
-        raise ValueError(f"wall depth {bg.wall_depth_m} m exceeds z_max {cfg.z_max} m")
     if backdrop is None:
-        backdrop = render_background(bg, cfg)
+        backdrop = render_background(scene.background, cfg)
     depth, refl = backdrop.depth_m.copy(), backdrop.reflectance.copy()
     for p in scene.placements:
         if not (cfg.z_min <= p.z <= cfg.z_max):

@@ -14,10 +14,9 @@ float32 array, written as it is and read with one `readinto`. A zero
 Model file ("TDIM", version 2): magic 4s | version u32 | n_dims u32 |
 n_dims * u32 dims, then per layer its float32 weight as the model holds it,
 input-major, (fan_in, fan_out) row-major, then its float32 bias. Each array
-is written as it is and read with one `readinto`. Version 1 files, which
-hold each weight output-major, (fan_out, fan_in), are still read; nothing
-writes them. A zero layer width, or a weight or bias that is not finite,
-fails the read.
+is written as it is and read with one `readinto`. Only version 2 is read;
+a version 1 file, which held each weight output-major, is refused. A zero
+layer width, or a weight or bias that is not finite, fails the read.
 
 Every write goes through `write_atomic`: a temp file beside the target,
 then one rename, so readers never observe a partially written file and a
@@ -43,8 +42,6 @@ DATASET_MAGIC = b"TDID"
 MODEL_MAGIC = b"TDIM"
 DATASET_VERSION = 1
 MODEL_VERSION = 2
-# The model version that holds each weight output-major; still read.
-_MODEL_V1 = 1
 
 _F4 = np.dtype("<f4")
 
@@ -206,16 +203,20 @@ def read_model(path):
         magic, version, n_dims = struct.unpack("<4sII", _read_exact(fh, 12, path, "header"))
         if magic != MODEL_MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-        if version not in (_MODEL_V1, MODEL_VERSION):
-            raise VersionError(f"{path}: format version {version}, "
-                               f"reader supports {_MODEL_V1} and {MODEL_VERSION}")
+        if version != MODEL_VERSION:
+            raise VersionError(
+                f"{path}: format version {version}, reader supports {MODEL_VERSION}")
         if n_dims < 2:
             raise HeaderMismatchError(f"{path}: model needs at least 2 layer dims, got {n_dims}")
+        end = os.fstat(fh.fileno()).st_size
+        if 4 * n_dims > end - fh.tell():
+            raise TruncatedFileError(f"{path}: n_dims = {n_dims} needs {4 * n_dims} bytes of "
+                                     f"layer dims, {end - fh.tell()} follow the header")
         dims = struct.unpack(f"<{n_dims}I", _read_exact(fh, 4 * n_dims, path, "layer dims"))
         if 0 in dims:
             raise HeaderMismatchError(
                 f"{path}: layer dim {dims.index(0)} of {list(dims)} is 0")
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        size = end - fh.tell()
         expected = sum(4 * (dout * din + dout) for din, dout in zip(dims[:-1], dims[1:]))
         if size < expected:
             raise TruncatedFileError(f"{path}: expected {expected} parameter bytes, got {size}")
@@ -223,12 +224,10 @@ def read_model(path):
             raise HeaderMismatchError(f"{path}: {size - expected} trailing parameter bytes")
         weights, biases = [], []
         for layer, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-            w = np.empty((dout, din) if version == _MODEL_V1 else (din, dout), dtype=_F4)
+            w = np.empty((din, dout), dtype=_F4)
             _read_into(fh, w, path, "weights")
             if not _finite(w):
                 raise StoreError(f"{path}: layer {layer} weights hold NaN or inf")
-            if version == _MODEL_V1:
-                w = np.ascontiguousarray(w.T)
             b = np.empty(dout, dtype=_F4)
             _read_into(fh, b, path, "biases")
             if not _finite(b):

@@ -142,17 +142,6 @@ def dataset_file_bytes(dataset) -> bytes:
     return header + dataset_records(dataset.histograms, dataset.images).tobytes()
 
 
-def model_file_bytes(model, version=2) -> bytes:
-    """A .tdim file built in one piece: header, then per layer the weight and the
-    bias; v2 holds each weight (fan_in, fan_out) as the model does, v1 its transpose."""
-    dims = model.layer_dims
-    parts = [struct.pack(f"<4sII{len(dims)}I", b"TDIM", version, len(dims), *dims)]
-    for w, b in zip(model.weights, model.biases):
-        parts += [np.asarray(w if version == 2 else w.T, dtype="<f4").tobytes(),
-                  np.asarray(b, dtype="<f4").tobytes()]
-    return b"".join(parts)
-
-
 def read_pgm(path) -> np.ndarray:
     """A binary P5 graymap without header comments, as uint8 or big-endian uint16."""
     data = Path(path).read_bytes()

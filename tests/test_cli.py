@@ -308,7 +308,7 @@ def test_refused_run_leaves_no_out_directory(command, tmp_path, tiny_config, cap
         far.write_text(TINY_CONFIG + "z_max = 3.0\n")
         argv = ["--count", 1] if command == "gen" else ["--kind", "irf"]
         argv += ["--config", far]
-        error = "scene 0: wall depth 4.0 m exceeds z_max 3.0 m"
+        error = "background: wall depth 4.0 m exceeds z_max 3.0 m"
     elif command == "predict":
         store.write_model(tmp_path / "model.tdim", mlp.init_model([400, 8, 256], seed=0))
         hist_csv = tmp_path / "fine.csv"
@@ -469,6 +469,16 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         run(["not-a-command"])
+
+
+def test_error_without_a_message_prints_its_type_name(tmp_path, capsys, monkeypatch):
+    # such as the bare MemoryError of an allocation the address space refuses
+    def refuse(path):
+        raise MemoryError()
+    monkeypatch.setattr(store, "read_model", refuse)
+    assert run(["eval", "--model", tmp_path / "m.tdim", "--dataset", tmp_path / "d.tdid",
+                "--out", tmp_path / "e"]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_eval_rejects_mismatched_model(tmp_path, tiny_config):

@@ -3,22 +3,24 @@
 `.tdid` datasets and `.tdim` models of finite values must read back bit for
 bit for any shape, an empty dataset included. A dataset's file must hold its
 records as the dataset does, and a model's file each weight as the model
-does, (fan_in, fan_out); a v1 model file, which holds each weight
-transposed, must read back as the same model. A histogram CSV must read
-back its counts and its first bin start, also when that is not 0, and
-refuse a start that is not finite, naming its line. SSIM must be symmetric
-to the last bit and score an image against itself as exactly 1.
+does, (fan_in, fan_out). A histogram CSV must read back its counts and its
+first bin start, also when that is not 0, and refuse a start that is not
+finite, naming its line. Each of the four readers, given any bytes, must
+either read them or raise StoreError or ValueError with a message, without
+allocating much more than the file's size. SSIM must be symmetric to the
+last bit and score an image against itself as exactly 1.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference import dataset_records, model_file_bytes
+from reference import dataset_records
 from tdi import forward, metrics, mlp, store
 
 FINITE_F4 = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -66,12 +68,44 @@ def test_model_file_round_trips_any_shape(tmp_path_factory, model):
     layers = [w.tobytes() + b.tobytes() for w, b in zip(model.weights, model.biases)]
     assert path.read_bytes() == struct.pack(f"<4sII{len(dims)}I", b"TDIM", 2, len(dims),
                                             *dims) + b"".join(layers)
-    v1 = path.with_name("model_v1.tdim")
-    v1.write_bytes(model_file_bytes(model, version=1))
-    for back in (store.read_model(path), store.read_model(v1)):
-        assert back.layer_dims == model.layer_dims
-        for got, want in zip(back.weights + back.biases, model.weights + model.biases):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    back = store.read_model(path)
+    assert back.layer_dims == model.layer_dims
+    for got, want in zip(back.weights + back.biases, model.weights + model.biases):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+READERS = {"dataset": store.read_dataset, "model": store.read_model,
+           "histogram CSV": store.read_histogram_csv, "settings": store.read_settings}
+# Bytes a reader may allocate beyond the file's size: its Python objects and
+# numpy's small buffers, not a payload the header only declares.
+READ_SLACK = 64 << 10
+
+
+@st.composite
+def any_file_bytes(draw):
+    """A file's start, then u32 header fields of any value, then any bytes."""
+    start = draw(st.sampled_from([b"", b"TDID", b"TDIM", b"bin_start_s,count\n",
+                                  b"bins = "]))
+    fields = draw(st.lists(st.integers(0, 2 ** 32 - 1), max_size=6))
+    return start + struct.pack(f"<{len(fields)}I", *fields) + draw(st.binary(max_size=64))
+
+
+@given(reader=st.sampled_from(sorted(READERS)), blob=any_file_bytes())
+# a model header that declares 2^31 - 1 layer dims, 8 GiB of them, and holds none
+@example(reader="model", blob=struct.pack("<4sII", b"TDIM", 2, 2 ** 31 - 1))
+def test_any_bytes_read_or_fail_by_name_within_their_size(tmp_path_factory, reader, blob):
+    path = tmp_path_factory.mktemp("fuzz") / "file"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        try:
+            READERS[reader](path)
+        except (store.StoreError, ValueError) as exc:
+            assert str(exc), f"{type(exc).__name__} without a message"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(blob) + READ_SLACK
 
 
 @given(counts=arrays(np.float64, st.integers(2, 300), elements=st.floats(0.0, 1e12)),

@@ -38,27 +38,20 @@ def test_simulate_raw_deterministic(tiny_recipe):
     assert len(a) == tiny_recipe.n_scenes
 
 
-def test_simulate_raw_error_names_scene(tiny_recipe):
-    # wall at 4 m no longer fits when z_max shrinks, and the failure should
-    # say which scene hit it
-    bad = replace(tiny_recipe, sim=tiny_recipe.sim.with_(z_max=2.0))
-    with pytest.raises(ValueError, match="scene 0"):
-        pipeline.simulate_raw(bad)
-    # a subset names the scene's index, not its row
-    with pytest.raises(ValueError, match="scene 11"):
-        pipeline.simulate_raw(bad, scenes=[11, 3])
+def test_simulate_raw_error_names_scene(tiny_recipe, monkeypatch):
+    # scene 11 places its silhouette past z_max, and the failure should say
+    # which scene it was; a subset names the scene's index, not its row
+    build = pipeline.build_scenes
 
-
-def test_span_error_from_cached_backdrop_names_scene(tiny_recipe):
-    # at the same bin width, fewer bins end the span between the wall's
-    # centre (4 m) and its corners, so only backdrop returns overrun it
-    sim = tiny_recipe.sim
-    short = sim.with_(bins=330, bin_width_s=sim.bin_width_s)
-    bad = replace(tiny_recipe, sim=short)
-    with pytest.raises(forward.SpanError, match="^scene 0: return from depth 4.0000 m"):
-        pipeline.simulate_raw(bad)
-    with pytest.raises(forward.SpanError, match="^scene 11: return from depth 4.0000 m"):
-        pipeline.simulate_raw(bad, scenes=[11, 3])
+    def with_a_far_scene(recipe):
+        built = build(recipe)
+        built[11].placements[0].z = recipe.sim.z_max + 1.0
+        return built
+    monkeypatch.setattr(pipeline, "build_scenes", with_a_far_scene)
+    with pytest.raises(ValueError, match="^scene 11: placement depth 5.0 m outside"):
+        pipeline.simulate_raw(tiny_recipe)
+    with pytest.raises(ValueError, match="^scene 11: placement depth 5.0 m outside"):
+        pipeline.simulate_raw(tiny_recipe, scenes=[3, 11])
 
 
 def test_simulate_raw_subset_matches_full_rows(tiny_recipe):
@@ -125,27 +118,31 @@ def corner_background(cfg, box_z=3.0):
         scene.Box(x=u * step, y=-0.5 * step, z=box_z, width=step, height=tall - step)])
 
 
-def test_overrunning_backdrop_gets_zero_counts_and_finalizes_as_the_serial_loop(
-        tiny_recipe, monkeypatch):
-    # the span ends before the visible wall pixel, so the backdrop's returns
-    # overrun it; scenes 0 and 1 cover that pixel, and finalize blurs their
-    # rows against zero counts to the bytes of the whole-row loop
-    cfg = tiny_recipe.sim.with_(bins=330, bin_width_s=tiny_recipe.sim.bin_width_s)
-    monkeypatch.setitem(pipeline.BACKGROUNDS, "uniform", lambda: corner_background(cfg))
-    recipe = replace(tiny_recipe, sim=cfg, background="uniform")
-    bare = scene.render_background(pipeline.build_scenes(recipe)[0].background, cfg)
-    assert np.flatnonzero(bare.depth_m.ravel() == 4.0).tolist() == [0]
-    with pytest.raises(forward.SpanError):
-        forward.simulate_histogram(bare, cfg)
-    raw = pipeline.simulate_raw(recipe, scenes=[0, 1])
-    assert raw.backdrop.counts.tobytes() == np.zeros(cfg.bins).tobytes()
-    rows = []
-    for counts, index in zip(raw.counts, raw.scenes):
-        h = forward.convolve_irf(forward.Histogram(cfg.bin_width_s, counts), 250e-12)
-        h = forward.add_noise(h, 2, seed=(cfg.seed, pipeline.NOISE_STREAM, int(index)))
-        rows.append(forward.normalize_histogram(h))
-    ds = pipeline.finalize(raw, irf_dt_s=250e-12, noise_level=2)
-    assert ds.histograms.tobytes() == np.array(rows, dtype=np.float32).tobytes()
+@pytest.mark.parametrize("case", ["wall_past_z_max", "wall_past_the_span",
+                                  "corner_past_the_span"])
+def test_background_that_cannot_be_simulated_fails_before_any_scene(tiny_recipe, monkeypatch,
+                                                                    case):
+    sim = tiny_recipe.sim
+    if case == "wall_past_z_max":   # the 4 m wall lies past a 2 m z_max
+        bad = replace(tiny_recipe, sim=sim.with_(z_max=2.0))
+        error = "wall depth 4.0 m exceeds z_max 2.0 m"
+    else:   # at the same bin width, fewer bins end the span between the wall's
+        # centre (4 m) and its corners; the corner background shows only one
+        bad = replace(tiny_recipe, sim=sim.with_(bins=330, bin_width_s=sim.bin_width_s),
+                      background="structured" if case == "wall_past_the_span" else "uniform")
+        error = "return from depth 4.0000 m"
+    corner = scene.render_background(corner_background(sim), sim)
+    assert np.flatnonzero(corner.depth_m.ravel() == 4.0).tolist() == [0]
+    monkeypatch.setitem(pipeline.BACKGROUNDS, "uniform", lambda: corner_background(sim))
+
+    def no_scene(*args):
+        raise AssertionError("a scene was drawn")
+    monkeypatch.setattr(scene, "render", no_scene)
+    for make in (pipeline.simulate_raw, lambda r: pipeline.simulate_raw(r, scenes=[11, 3]),
+                 pipeline.generate_dataset):
+        with pytest.raises(ValueError, match=f"^background: {re.escape(error)}") as failed:
+            make(bad)
+        assert isinstance(failed.value, forward.SpanError) == (case != "wall_past_z_max")
 
 
 @pytest.fixture

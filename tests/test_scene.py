@@ -300,8 +300,8 @@ def test_augment_deterministic():
     assert len(a) == len(b) == 2 * 3 * 4 * 2
     for sa, sb in zip(a, b):
         pa, pb = sa.placements[0], sb.placements[0]
-        assert (pa.x, pa.y, pa.z, pa.mirrored, pa.silhouette_id) == \
-               (pb.x, pb.y, pb.z, pb.mirrored, pb.silhouette_id)
+        assert (pa.x, pa.y, pa.z, pa.mirrored, pa.silhouette.id) == \
+               (pb.x, pb.y, pb.z, pb.mirrored, pb.silhouette.id)
 
 
 def test_augment_spans_depth_range():
@@ -378,4 +378,4 @@ def test_depth_image_rejects_non_finite_or_negative_depth(bad):
 
 
 def test_depth_image_accepts_an_empty_grid():
-    assert scene.DepthImage(np.zeros((0, 4)), np.zeros((0, 4))).width == 4
+    assert scene.DepthImage(np.zeros((0, 4)), np.zeros((0, 4))).depth_m.shape == (0, 4)

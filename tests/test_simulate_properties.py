@@ -154,18 +154,12 @@ def test_finalize_of_any_rows_is_those_rows_of_the_whole(recipe, irf, noise, pic
     assert part.images.tobytes() == whole.images[rows].tobytes()
 
 
-def test_backdrop_return_past_the_span_raises_only_when_seen():
-    # one backdrop pixel lies beyond the span, so the cached returns hold
-    # none; an image that covers it still simulates, one that shows it raises
+def test_backdrop_return_past_the_span_raises_naming_its_depth():
+    # one backdrop pixel lies beyond the span; a scene could cover it, but
+    # the backdrop is refused whole, so no scene drawn on it can show it
     cfg = SimConfig(img_w=8, img_h=8, bins=64)
     depth = np.full((8, 8), 3.0)
     depth[0, 0] = 6.0
     backdrop = scene.DepthImage(depth, np.ones((8, 8)))
-    cached = forward.backdrop_returns(backdrop, cfg)
-    covered = depth.copy()
-    covered[0, 0] = 2.0
-    img = scene.DepthImage(covered, np.ones((8, 8)))
-    h = forward.simulate_histogram(img, cfg, cached)
-    assert h.counts.tobytes() == lexsort_histogram(img, cfg).tobytes()
-    with pytest.raises(forward.SpanError, match="depth 6.0000 m"):
-        forward.simulate_histogram(backdrop, cfg, cached)
+    with pytest.raises(forward.SpanError, match="^return from depth 6.0000 m"):
+        forward.backdrop_returns(backdrop, cfg)

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import dataset_file_bytes, dataset_records, model_file_bytes, read_pgm
+from reference import dataset_file_bytes, dataset_records, read_pgm
 from tdi import forward, mlp, store
 
-# A v1 model file, each weight output-major, (fan_out, fan_in): a [9, 6, 4]
+# A v2 model file, each weight input-major, (fan_in, fan_out): a [9, 6, 4]
 # model whose biases are arange(fan_out) / 8 - 0.25.
-TINY_V1_MODEL = Path(__file__).parent / "data" / "tiny_v1.tdim"
+TINY_MODEL = Path(__file__).parent / "data" / "tiny.tdim"
 
 
 def random_dataset(n=5, bins=32, w=4, h=4, seed=0):
@@ -229,17 +229,18 @@ def test_model_with_a_zero_layer_width_fails_the_read(tmp_path, dims):
     path = tmp_path / "model.tdim"
     # the payload the dims declare, so only the zero is wrong
     n_params = sum(dout * din + dout for din, dout in zip(dims[:-1], dims[1:]))
-    path.write_bytes(struct.pack("<4sII3I", b"TDIM", 1, 3, *dims) + bytes(4 * n_params))
+    path.write_bytes(struct.pack("<4sII3I", b"TDIM", 2, 3, *dims) + bytes(4 * n_params))
     with pytest.raises(store.HeaderMismatchError,
                        match=re.escape(f"layer dim {dims.index(0)} of {list(dims)} is 0")):
         store.read_model(path)
 
 
 def test_model_fixture_reads_its_numbers_and_writes_back_its_bytes(tmp_path):
-    model = store.read_model(TINY_V1_MODEL)
+    model = store.read_model(TINY_MODEL)
     assert model.layer_dims == [9, 6, 4]
     assert [w.shape for w in model.weights] == [(9, 6), (6, 4)]
-    # numbers read from the file: its first row is output unit 0 over inputs 0..8
+    # numbers read from the file: the first weight's column 0 is output unit 0
+    # over inputs 0..8
     assert model.weights[0][:3, 0].tolist() == [-0.1273692399263382, 0.27501022815704346,
                                                 -0.27723899483680725]
     assert model.weights[0][8, 5] == np.float32(-0.19213602)
@@ -250,24 +251,31 @@ def test_model_fixture_reads_its_numbers_and_writes_back_its_bytes(tmp_path):
     np.testing.assert_allclose(mlp.forward(model, np.linspace(0, 1, 9)),
                                [-0.9755359292030334, -0.08345702290534973,
                                 -0.07100537419319153, -0.3246138095855713], rtol=1e-6)
-    # written back as v2: the file's header at version 2, each weight transposed
+    # written back, the file's bytes
     store.write_model(tmp_path / "back.tdim", model)
-    blob = TINY_V1_MODEL.read_bytes()
-    params = np.frombuffer(blob, "<f4", offset=24)
-    w0, b0 = params[:54].reshape(6, 9), params[54:60]
-    w1, b1 = params[60:84].reshape(4, 6), params[84:]
-    want = (blob[:4] + struct.pack("<I", 2) + blob[8:24]
-            + w0.T.tobytes() + b0.tobytes() + w1.T.tobytes() + b1.tobytes())
-    assert (tmp_path / "back.tdim").read_bytes() == want
+    assert (tmp_path / "back.tdim").read_bytes() == TINY_MODEL.read_bytes()
 
 
-def test_v1_model_with_a_nan_weight_fails_the_read_naming_its_layer(tmp_path):
-    model = mlp.init_model([16, 8, 4], seed=0)
-    model.weights[1][6, 2] = np.nan
-    path = tmp_path / "nan_v1.tdim"
-    path.write_bytes(model_file_bytes(model, version=1))
-    with pytest.raises(store.StoreError,
-                       match=re.escape(f"{path}: layer 1 weights hold NaN or inf")):
+def test_v1_model_is_refused_naming_the_supported_version(tmp_path):
+    # a v1 file held each weight output-major, (fan_out, fan_in); a well-formed
+    # one, whose payload its dims declare, fails on its version alone
+    blob = bytearray(TINY_MODEL.read_bytes())
+    blob[4:8] = struct.pack("<I", 1)
+    path = tmp_path / "v1.tdim"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(store.VersionError,
+                       match=re.escape(f"{path}: format version 1, reader supports 2")):
+        store.read_model(path)
+
+
+def test_model_header_declaring_more_dims_than_the_file_holds_is_truncation(tmp_path):
+    # a 12-byte file that declares 2^31 - 1 layer dims, 8 GiB of them, is
+    # refused before the dims are read
+    path = tmp_path / "huge.tdim"
+    path.write_bytes(struct.pack("<4sII", b"TDIM", 2, 2 ** 31 - 1))
+    with pytest.raises(store.TruncatedFileError, match=re.escape(
+            f"{path}: n_dims = 2147483647 needs 8589934588 bytes of layer dims, "
+            f"0 follow the header")):
         store.read_model(path)
 
 
