@@ -16,8 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, metrics, mlp, pipeline, store
-from .config import (NOISE_FRACTIONS, REFLECTIVITY_TRAININGS, SETTINGS, SWEEP_DEFAULTS,
-                     format_setting, owned, parse_range)
+from .config import (BACKGROUND_KINDS, NOISE_FRACTIONS, REFLECTIVITY_TRAININGS, SETTINGS,
+                     SWEEP_DEFAULTS, format_setting, owned, parse_range)
 
 _PRESETS = {"desk": pipeline.desk_recipe, "paper": pipeline.paper_recipe}
 # Each sweep kind and the pipeline function that runs it.
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", dest="n_silhouettes", type=int, help="number of silhouettes")
-    p.add_argument("--background", choices=pipeline.BACKGROUND_KINDS)
+    p.add_argument("--background", choices=BACKGROUND_KINDS)
     p.add_argument("--reflectivity", type=float, help="fixed silhouette reflectivity")
     p.add_argument("--reflectivity-range", dest="reflectivity_range", metavar="LO:HI",
                    type=parse_range, help="per-scene log-uniform silhouette reflectivity")

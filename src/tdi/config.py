@@ -32,6 +32,8 @@ REFLECTIVITY_TRAIN_RANGE = (0.25, 4.0)
 REFLECTIVITY_TRAININGS = ("fixed", "varied")
 
 TIME_CONVENTIONS = ("round_trip", "one_way")
+# Backgrounds a recipe may name: the default wall and boxes, or a bare wall.
+BACKGROUND_KINDS = ("structured", "uniform")
 
 
 @dataclass
@@ -150,7 +152,7 @@ SETTINGS = {
     "n_silhouettes": ("recipe", int, _integer(1)),
     "depth_steps": ("recipe", int, _integer(1)),
     "lateral_steps": ("recipe", int, _integer(1)),
-    "background": ("recipe", str, None),
+    "background": ("recipe", str, _one_of(BACKGROUND_KINDS)),
     "reflectivity": ("recipe", float, _POSITIVE),
     "reflectivity_range": ("recipe", parse_range,   # None: every scene at `reflectivity`
                            ((lambda r: len(r) == 2 and 0 < r[0] <= r[1] < math.inf),

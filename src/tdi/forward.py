@@ -5,6 +5,10 @@ reflectivity * p0 / r^4 at arrival time 2r/c (round trip; r is the pixel's
 3D distance reconstructed from the pinhole geometry). Expected, real-valued
 counts flow through the noiseless path so it stays deterministic and exactly
 conservative; discreteness only enters through the Poisson noise stage.
+
+Scenes drawn on one background share its returns (`backdrop_returns`):
+`simulate_histogram` compares each frame with that background once and
+recomputes only the pixels that differ, to the bytes of the whole image.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NOISE_FRACTIONS, SPEED_OF_LIGHT, SimConfig, check
-from .scene import DepthImage, Overlay, pixel_offsets
+from .scene import DepthImage, pixel_offsets
 
 
 # Fewest equal bins between two runs of bins that differ from the backdrop
@@ -75,9 +79,8 @@ def _pixel_slopes(img_w: int, img_h: int, focal_px: float):
     return slopes
 
 
-def _pixel_returns(pixels: np.ndarray, z: np.ndarray, reflectance: np.ndarray,
-                   cfg: SimConfig):
-    """Arrival bin and expected photons of the pixels at the given flat indices.
+def _pixel_returns(img: DepthImage, pixels: np.ndarray, cfg: SimConfig):
+    """Arrival bin and expected photons of the image's pixels at the given flat indices.
 
     The one place the return of a pixel is computed, from its depth z and
     reflectance: its 3D distance r from the pinhole geometry, the bin of its
@@ -85,6 +88,7 @@ def _pixel_returns(pixels: np.ndarray, z: np.ndarray, reflectance: np.ndarray,
     arrives beyond the last bin.
     """
     across, down = _pixel_slopes(cfg.img_w, cfg.img_h, cfg.focal_px)
+    z = img.depth_m.ravel()[pixels]
     x = across[pixels] * z
     y = down[pixels] * z
     r = np.sqrt(x * x + y * y + z * z)
@@ -97,13 +101,7 @@ def _pixel_returns(pixels: np.ndarray, z: np.ndarray, reflectance: np.ndarray,
             f"return from depth {z[worst]:.4f} m (distance {r[worst]:.4f} m) arrives at "
             f"{t[worst]:.3e} s, beyond the histogram span of "
             f"{cfg.bins * cfg.bin_width_s:.3e} s")
-    return bins, reflectance * cfg.p0 / r ** 4
-
-
-def _image_returns(img: DepthImage, pixels: np.ndarray, cfg: SimConfig):
-    """`_pixel_returns` of the given pixels of an image."""
-    return _pixel_returns(pixels, img.depth_m.ravel()[pixels],
-                          img.reflectance.ravel()[pixels], cfg)
+    return bins, img.reflectance.ravel()[pixels] * cfg.p0 / r ** 4
 
 
 @dataclass
@@ -134,7 +132,7 @@ def backdrop_returns(backdrop: DepthImage, cfg: SimConfig) -> BackdropReturns:
     fit the span whenever the backdrop's do.
     """
     pixels = np.flatnonzero(backdrop.depth_m > 0)
-    bins, photons = _image_returns(backdrop, pixels, cfg)
+    bins, photons = _pixel_returns(backdrop, pixels, cfg)
     order = np.argsort(photons)
     rank = np.full(backdrop.depth_m.size, -1, dtype=np.int64)
     rank[pixels[order]] = np.arange(pixels.size)
@@ -149,39 +147,37 @@ def simulate_histogram(img: DepthImage, cfg: SimConfig,
     independent of pixel enumeration order; in particular a scene and its
     exact mirror produce bit-identical histograms.
 
-    There are two paths, with the same bytes. When `img` was drawn by
-    `scene.render(sc, cfg, b)` and `backdrop` is `backdrop_returns(b, cfg)`,
-    only the pixels of the image's overlay are computed and merged into the
-    backdrop's returns, already sorted; no step reads the whole frame. Any
-    other input, with or without `backdrop`, computes every pixel of the
-    image: that path is the oracle.
+    Without `backdrop`, every pixel of the image is computed: the counts of
+    `backdrop_returns(img, cfg)`. Given `backdrop_returns(b, cfg)` for a
+    render `b` of the same frame, the image is compared with `b` once, and
+    only the pixels that differ in depth or reflectance are computed and
+    merged into the backdrop's sorted returns, to the same bytes. A backdrop
+    of another frame shape or bin count is refused.
     """
     if img.depth_m.shape != (cfg.img_h, cfg.img_w):
         raise ValueError(
             f"image is {img.depth_m.shape}, config expects {(cfg.img_h, cfg.img_w)}")
-    drawn = img.overlay
-    if backdrop is not None and drawn is not None and drawn.backdrop is backdrop.image:
-        return Histogram(cfg.bin_width_s, _merged_counts(backdrop, drawn, cfg))
-    pixels = np.flatnonzero(img.depth_m > 0)
-    bins, photons = _image_returns(img, pixels, cfg)
-    # bincount adds its weights in array order, so after sorting by value
-    # each bin sums its photons in ascending order; equal values may swap
-    # places without changing a bit
-    order = np.argsort(photons)
-    counts = np.bincount(bins[order], weights=photons[order], minlength=cfg.bins)
-    return Histogram(cfg.bin_width_s, counts)
+    if backdrop is None:
+        return Histogram(cfg.bin_width_s, backdrop_returns(img, cfg).counts)
+    b = backdrop.image
+    if b.depth_m.shape != img.depth_m.shape or backdrop.n_bins != cfg.bins:
+        raise ValueError(
+            f"backdrop is {b.depth_m.shape} with {backdrop.n_bins} bins, image "
+            f"{img.depth_m.shape} with {cfg.bins} bins")
+    changed = np.flatnonzero((img.depth_m != b.depth_m) | (img.reflectance != b.reflectance))
+    return Histogram(cfg.bin_width_s, _merged_counts(backdrop, img, changed, cfg))
 
 
-def _merged_counts(backdrop: BackdropReturns, drawn: Overlay, cfg: SimConfig) -> np.ndarray:
-    """Bin sums of the backdrop's returns with those of the overlay's pixels
-    replaced by the overlay's own; every overlay pixel returns light."""
+def _merged_counts(backdrop: BackdropReturns, img: DepthImage, changed: np.ndarray,
+                   cfg: SimConfig) -> np.ndarray:
+    """Bin sums of the backdrop's returns with those of the `changed` pixels
+    replaced by the image's own, where it returns light."""
     # a replaced backdrop return keeps its place with weight 0: every bin
     # sum starts at +0 and stays >= 0, so adding +0 changes no bit
-    gone = backdrop.rank[drawn.pixels]
+    gone = backdrop.rank[changed]
     weights = backdrop.photons.copy()
     weights[gone[gone >= 0]] = 0.0
-    new_bins, new_photons = _pixel_returns(drawn.pixels, drawn.depth_m, drawn.reflectance,
-                                           cfg)
+    new_bins, new_photons = _pixel_returns(img, changed[img.depth_m.ravel()[changed] > 0], cfg)
     order = new_photons.argsort()
     new_bins, new_photons = new_bins[order], new_photons[order]
     # merge: new return k goes before the backdrop returns not smaller

@@ -7,8 +7,8 @@ under different IRF widths or noise levels without re-rendering. Rows keep
 their scene index, which keys every per-scene random draw, so a subset of
 scenes simulates and finalizes to the same bits as those rows of the whole set.
 Each scene is drawn on a background rendered once per call, and its histogram
-recomputes only the pixels of the overlay that `scene.render` keeps on the
-image, without comparing whole frames. A background that cannot be
+recomputes only the pixels where the scene differs from that background
+(`forward.simulate_histogram`). A background that cannot be
 simulated, such as one whose returns arrive past the histogram span, fails
 once, before any scene, with an error prefixed `background: `. The
 background travels with the rows (`RawDataset.backdrop`), so the IRF blurs
@@ -35,9 +35,9 @@ from .config import (IRF_SWEEP_S, DATASET_SIZE_SWEEP, NOISE_FRACTIONS, REFLECTIV
                      REFLECTIVITY_TRAIN_RANGE, SimConfig, check, check_owned, desk_sim,
                      paper_sim)
 
-# Each background kind a recipe may name, with the function that builds it.
+# Each background kind a recipe may name (config.BACKGROUND_KINDS), with the
+# function that builds it.
 BACKGROUNDS = {"structured": scene.default_background, "uniform": scene.Background}
-BACKGROUND_KINDS = tuple(BACKGROUNDS)
 # Failures a sweep records for one point before going on to the next; any
 # other exception is a bug and propagates.
 SWEEP_ERRORS = (ValueError, store.StoreError, mlp.TrainingDivergedError)
@@ -68,8 +68,6 @@ class DatasetRecipe:
 
     def __post_init__(self):
         check_owned(self, "recipe")
-        if self.background not in BACKGROUND_KINDS:
-            raise ValueError(f"background must be one of {BACKGROUND_KINDS}")
 
     @property
     def n_scenes(self) -> int:
@@ -147,16 +145,13 @@ def _simulate_rows(built: list, indices: np.ndarray, cfg: SimConfig,
     """Simulate scenes built[indices] into the same rows of `counts` and `images`.
 
     Each scene is drawn on a copy of the backdrop, `_backdrop(built, cfg)`,
-    and its histogram recomputes only the pixels its overlay lists. `images`
-    may be float32, which rounds each value as a cast would.
+    and its histogram recomputes only the pixels where it differs from the
+    backdrop. `images` may be float32, which rounds each value as a cast would.
     """
     for row, index in enumerate(indices):
-        try:
-            img = scene.render(built[index], cfg, backdrop.image)
-            counts[row] = forward.simulate_histogram(img, cfg, backdrop).counts
-            images[row] = scene.normalize_image(img, cfg.z_max)
-        except ValueError as exc:
-            raise _named_error(exc, f"scene {index}") from exc
+        img = scene.render(built[index], cfg, backdrop.image)
+        counts[row] = forward.simulate_histogram(img, cfg, backdrop).counts
+        images[row] = scene.normalize_image(img, cfg.z_max)
 
 
 def simulate_raw(recipe: DatasetRecipe, scenes=None) -> RawDataset:
@@ -164,8 +159,7 @@ def simulate_raw(recipe: DatasetRecipe, scenes=None) -> RawDataset:
 
     The recipe's background is rendered, and its returns computed, once per
     call; every scene's placements are drawn onto a copy of the render, and
-    its histogram recomputes only the pixels they change (the image's
-    `scene.Overlay`).
+    its histogram recomputes only the pixels they change.
     """
     cfg = recipe.sim
     built = build_scenes(recipe)

@@ -7,11 +7,9 @@ occlusion. Rendering is a pure function of (scene, config); a pixel belongs
 to a surface iff its center falls inside that surface's projected footprint.
 
 A placement's footprint is a rectangle of the frame plus a boolean sub-mask
-(`placement_rect`). `render` draws each sub-mask into one copy of the
-background render, then compares that frame with the background once to
-find the overlay: the ascending flat indices of the pixels the placements
-changed, with their new depth and reflectance. The image it returns keeps
-the overlay, so the histogram recomputes only those pixels.
+(`placement_rect`). `render` draws each sub-mask into one writable copy
+of the background render, which is read-only and may be shared by many
+scenes.
 """
 
 from __future__ import annotations
@@ -112,18 +110,10 @@ class Scene:
 
 @dataclass
 class DepthImage:
-    """Per-pixel axial depth in meters (0 = no return) plus reflectivity.
-
-    `overlay` is set by `render` when it draws a scene on a given backdrop:
-    the scene's `Overlay` on that backdrop, which lists every pixel where
-    this image differs from it. The arrays of such an image are read-only,
-    so the overlay cannot go stale; edit copies of them instead, and a
-    `DepthImage` built from the copies has no overlay.
-    """
+    """Per-pixel axial depth in meters (0 = no return) plus reflectivity."""
 
     depth_m: np.ndarray
     reflectance: np.ndarray
-    overlay: Overlay | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.depth_m = np.asarray(self.depth_m, dtype=np.float64)
@@ -287,8 +277,8 @@ def placement_rect(p: Placement, cfg: SimConfig):
 def render_background(bg: Background, cfg: SimConfig) -> DepthImage:
     """The background alone: the wall fills the frame, closer boxes overwrite it.
 
-    Its arrays are read-only, as a render's are: `forward.backdrop_returns`
-    caches returns computed from them, which a later write would leave stale.
+    Its arrays are read-only: `forward.backdrop_returns` caches returns
+    computed from them, which a later write would leave stale.
     A wall beyond z_max is refused.
     """
     if bg.wall_depth_m > cfg.z_max:
@@ -312,23 +302,6 @@ def render_background(bg: Background, cfg: SimConfig) -> DepthImage:
     return DepthImage(depth_m=depth, reflectance=refl)
 
 
-@dataclass
-class Overlay:
-    """A scene as what its placements change on its background render.
-
-    `backdrop` is the render it is drawn on, `pixels` the ascending
-    row-major flat indices of the changed pixels, and `depth_m` and
-    `reflectance` their values once every placement is drawn. Drawing only
-    ever brings a pixel closer, so the changed pixels are those whose depth
-    dropped.
-    """
-
-    backdrop: DepthImage = field(repr=False)
-    pixels: np.ndarray          # (k,) int64, ascending
-    depth_m: np.ndarray         # (k,) float64
-    reflectance: np.ndarray     # (k,) float64
-
-
 def render(scene: Scene, cfg: SimConfig, backdrop: DepthImage | None = None) -> DepthImage:
     """Project a scene to a depth + reflectance image (nearest surface wins).
 
@@ -338,8 +311,6 @@ def render(scene: Scene, cfg: SimConfig, backdrop: DepthImage | None = None) -> 
     leave no footprint. `backdrop`, when given, must be
     `render_background(scene.background, cfg)`; each placement's sub-mask is
     drawn into one copy of it, so one background render serves many scenes.
-    The read-only image keeps its `Overlay` on that backdrop, so
-    `forward.simulate_histogram` can recompute only the pixels it lists.
     """
     if backdrop is None:
         backdrop = render_background(scene.background, cfg)
@@ -354,10 +325,7 @@ def render(scene: Scene, cfg: SimConfig, backdrop: DepthImage | None = None) -> 
         hit = sub & (p.z < depth[at])
         depth[at][hit] = p.z
         refl[at][hit] = p.reflectivity
-    pixels = np.flatnonzero(depth < backdrop.depth_m)
-    depth.flags.writeable = refl.flags.writeable = False
-    drawn = Overlay(backdrop, pixels, depth.take(pixels), refl.take(pixels))
-    return DepthImage(depth_m=depth, reflectance=refl, overlay=drawn)
+    return DepthImage(depth_m=depth, reflectance=refl)
 
 
 def augment(silhouettes: list, background: Background, cfg: SimConfig,

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tdi import cli, forward, mlp, pipeline, scene
-from tdi.config import (NONE_ALLOWED, REFLECTIVITY_TRAININGS, SETTINGS, SPEED_OF_LIGHT,
-                        TIME_CONVENTIONS, SimConfig, check, format_setting, owned,
-                        parse_settings)
+from tdi.config import (BACKGROUND_KINDS, NONE_ALLOWED, REFLECTIVITY_TRAININGS, SETTINGS,
+                        SPEED_OF_LIGHT, TIME_CONVENTIONS, SimConfig, check, format_setting,
+                        owned, parse_settings)
 from tdi.store import read_settings
 
 
@@ -49,7 +49,7 @@ def every_setting(draw):
         "n_silhouettes": draw(st.integers(1, 100)),
         "depth_steps": draw(st.integers(1, 100)),
         "lateral_steps": draw(st.integers(1, 100)),
-        "background": draw(st.sampled_from(pipeline.BACKGROUND_KINDS)),
+        "background": draw(st.sampled_from(BACKGROUND_KINDS)),
         "reflectivity": draw(floats(0.01, 100.0)),
         "reflectivity_range": (lo, lo * draw(floats(1.0, 10.0))),
         "epochs": draw(st.integers(1, 1000)),
@@ -86,6 +86,8 @@ def test_manifest_round_trips_every_setting(tmp_path_factory, values):
      "line 2: bad reflectivity_training 'vary': reflectivity_training must be fixed or "
      "varied, got 'vary'"),
     ("\n# note\nseed 3\n", "line 3: expected 'key = value'"),
+    ("seed = 1\nbackground = foo\n",
+     "line 2: bad background 'foo': background must be structured or uniform, got 'foo'"),
 ])
 def test_parse_settings_names_the_bad_line(text, match):
     with pytest.raises(ValueError, match=match):
@@ -139,6 +141,7 @@ REFUSED = {
     "n_silhouettes": ints_below(1),
     "depth_steps": ints_below(1),
     "lateral_steps": ints_below(1),
+    "background": words_except(BACKGROUND_KINDS),
     "reflectivity": NONFINITE | at_most(0.0),
     "reflectivity_range": (st.tuples(NONFINITE | at_most(0.0), POSITIVE)
                            | st.tuples(POSITIVE, NONFINITE)

@@ -38,22 +38,6 @@ def test_simulate_raw_deterministic(tiny_recipe):
     assert len(a) == tiny_recipe.n_scenes
 
 
-def test_simulate_raw_error_names_scene(tiny_recipe, monkeypatch):
-    # scene 11 places its silhouette past z_max, and the failure should say
-    # which scene it was; a subset names the scene's index, not its row
-    build = pipeline.build_scenes
-
-    def with_a_far_scene(recipe):
-        built = build(recipe)
-        built[11].placements[0].z = recipe.sim.z_max + 1.0
-        return built
-    monkeypatch.setattr(pipeline, "build_scenes", with_a_far_scene)
-    with pytest.raises(ValueError, match="^scene 11: placement depth 5.0 m outside"):
-        pipeline.simulate_raw(tiny_recipe)
-    with pytest.raises(ValueError, match="^scene 11: placement depth 5.0 m outside"):
-        pipeline.simulate_raw(tiny_recipe, scenes=[3, 11])
-
-
 def test_simulate_raw_subset_matches_full_rows(tiny_recipe):
     full = pipeline.simulate_raw(tiny_recipe)
     idx = np.array([7, 0, 23, 7])

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reference import lexsort_histogram, placement_footprint, serial_render
-from test_simulate_properties import SILHOUETTES, scenes
+from test_simulate_properties import SILHOUETTES, backgrounds, scenes
 from tdi import forward, scene
 from tdi.config import SimConfig
 
@@ -96,7 +96,6 @@ def test_render_empty_scene_is_wall():
     assert np.all(img.depth_m == 4.0)
     assert np.all(img.reflectance == 1.0)
     # no placement, or one wholly outside the frame: the backdrop's bytes
-    # and an empty overlay
     sil = scene.generate_silhouettes(1, seed=2)[0]
     bg = scene.default_background()
     backdrop = scene.render_background(bg, CFG)
@@ -106,8 +105,6 @@ def test_render_empty_scene_is_wall():
         img = scene.render(scene.Scene(bg, placements), CFG, backdrop)
         assert img.depth_m.tobytes() == backdrop.depth_m.tobytes()
         assert img.reflectance.tobytes() == backdrop.reflectance.tobytes()
-        assert img.overlay.pixels.dtype == np.int64
-        assert img.overlay.pixels.size == 0
 
 
 def test_render_occlusion_rule():
@@ -195,7 +192,7 @@ def test_mirrored_scene_renders_as_exact_flip():
 
 
 # ---------------------------------------------------------------------------
-# overlay
+# histograms against a backdrop
 
 # a 0.3 m square: small enough to hide wholly behind the nearest default box
 SMALL = scene.Silhouette(id=99, mask=np.ones((4, 4), dtype=bool), native_height_m=0.3)
@@ -212,11 +209,16 @@ def test_placement_behind_a_closer_box_changes_nothing():
     sc = scene.Scene(scene.default_background(), [hidden_placement()])
     assert placement_footprint(sc.placements[0], CFG).any()
     backdrop = scene.render_background(sc.background, CFG)
-    assert scene.render(sc, CFG, backdrop).overlay.pixels.size == 0
+    img = scene.render(sc, CFG, backdrop)
+    assert img.depth_m.tobytes() == backdrop.depth_m.tobytes()
+    assert img.reflectance.tobytes() == backdrop.reflectance.tobytes()
 
 
-@given(drawn=scenes(), data=st.data())
-def test_overlay_is_the_whole_frame_diff(drawn, data):
+@given(drawn=scenes(), other=backgrounds(), data=st.data(),
+       edits=st.lists(st.tuples(st.integers(0, 575),
+                                st.sampled_from(("empty", "depth", "reflectance"))),
+                      max_size=40))
+def test_histogram_on_a_backdrop_matches_oracle_for_any_edit(drawn, other, data, edits):
     # the drawn scene, sometimes with a placement wholly outside the frame
     # and one hidden behind a closer box, anywhere in the drawing order
     cfg, sc = drawn
@@ -225,44 +227,71 @@ def test_overlay_is_the_whole_frame_diff(drawn, data):
         if data.draw(st.booleans()):
             placements.insert(data.draw(st.integers(0, len(placements))), extra)
     sc = scene.Scene(sc.background, placements)
+    img = scene.render(sc, cfg, scene.render_background(sc.background, cfg))
+    whole = serial_render(sc, cfg)
+    assert img.depth_m.tobytes() == whole.depth_m.tobytes()
+    assert img.reflectance.tobytes() == whole.reflectance.tobytes()
+    # then edited in place: pixels that stop returning, move to any depth in
+    # range (farther ones too), or change only their reflectance; against
+    # the returns of either background, its own or another
+    for pixel, edit in edits:
+        at = np.unravel_index(pixel % img.depth_m.size, img.depth_m.shape)
+        if edit == "empty":
+            img.depth_m[at] = 0.0
+        elif edit == "depth":
+            img.depth_m[at] = data.draw(st.floats(cfg.z_min, cfg.z_max))
+        else:
+            img.reflectance[at] = data.draw(st.floats(0.25, 4.0))
+    backdrop = forward.backdrop_returns(scene.render_background(other, cfg), cfg)
+    h = forward.simulate_histogram(img, cfg, backdrop)
+    assert h.counts.tobytes() == lexsort_histogram(img, cfg).tobytes()
+
+
+@given(drawn=scenes(), data=st.data())
+def test_overlay_is_the_whole_frame_diff(drawn, data):
+    # what a scene's placements change on its background render, the frame
+    # diff the histogram recomputes, is all that differs from the whole image;
+    # sometimes with a placement wholly outside the frame and one hidden
+    # behind a closer box, anywhere in the drawing order
+    cfg, sc = drawn
+    placements = list(sc.placements)
+    for extra in (scene.Placement(SILHOUETTES[0], x=50.0, z=2.0), hidden_placement()):
+        if data.draw(st.booleans()):
+            placements.insert(data.draw(st.integers(0, len(placements))), extra)
+    sc = scene.Scene(sc.background, placements)
     backdrop = scene.render_background(sc.background, cfg)
     img = scene.render(sc, cfg, backdrop)
-    drawn = img.overlay
-    assert drawn.backdrop is backdrop
     whole = serial_render(sc, cfg)
-    changed = np.flatnonzero((whole.depth_m != backdrop.depth_m)
-                             | (whole.reflectance != backdrop.reflectance))
-    assert drawn.pixels.tobytes() == changed.tobytes()
-    assert drawn.depth_m.tobytes() == whole.depth_m.ravel()[changed].tobytes()
-    assert drawn.reflectance.tobytes() == whole.reflectance.ravel()[changed].tobytes()
-    # the histogram from the overlay's pixels alone, with no frame diff
+    assert img.depth_m.tobytes() == whole.depth_m.tobytes()
+    assert img.reflectance.tobytes() == whole.reflectance.tobytes()
     h = forward.simulate_histogram(img, cfg, forward.backdrop_returns(backdrop, cfg))
     assert h.counts.tobytes() == lexsort_histogram(whole, cfg).tobytes()
 
 
 def test_image_drawn_on_another_backdrop_is_compared_whole():
-    # the image keeps its overlay on a bare wall; against the returns of the
-    # boxed background the histogram must compute the whole image, not trust it
+    # the image is drawn on a bare wall; against the returns of the boxed
+    # background every pixel it differs in, wall included, is recomputed
     cfg = SimConfig(img_w=24, img_h=16, bins=400)
     sc = scene.Scene(scene.Background(),
                      [scene.Placement(SILHOUETTES[1], x=0.2, z=2.0),
                       scene.Placement(SILHOUETTES[2], x=-0.3, z=1.2, mirrored=True)])
     img = scene.render(sc, cfg)
     other = scene.render_background(scene.default_background(), cfg)
-    assert img.overlay.pixels.size
+    assert (img.depth_m != other.depth_m).any()
     h = forward.simulate_histogram(img, cfg, forward.backdrop_returns(other, cfg))
     assert h.counts.tobytes() == lexsort_histogram(serial_render(sc, cfg), cfg).tobytes()
 
 
-def test_rendered_image_is_read_only():
-    # a write into a render would leave its overlay, and so its cached
-    # histogram, silently stale
-    sc = scene.Scene(scene.default_background(), [scene.Placement(SILHOUETTES[0], z=2.0)])
-    img = scene.render(sc, CFG)
-    for values in (img.depth_m, img.reflectance):
-        with pytest.raises(ValueError, match="read-only"):
-            values[0, 0] = 1.2
-    assert img.depth_m.tobytes() == serial_render(sc, CFG).depth_m.tobytes()
+def test_backdrop_of_another_geometry_is_refused_by_name():
+    cfg = SimConfig(img_w=24, img_h=16, bins=400)
+    img = scene.render(scene.Scene(scene.Background()), cfg)
+    for other, names in ((cfg.with_(img_h=24), r"\(24, 24\) with 400 bins"),
+                         (cfg.with_(bins=500), r"\(16, 24\) with 500 bins")):
+        backdrop = forward.backdrop_returns(scene.render_background(scene.Background(), other),
+                                            other)
+        with pytest.raises(ValueError, match=rf"^backdrop is {names}, image \(16, 24\) with "
+                                             r"400 bins$"):
+            forward.simulate_histogram(img, cfg, backdrop)
 
 
 def test_background_render_is_read_only():

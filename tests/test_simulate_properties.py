@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from reference import lexsort_histogram, serial_render, sum_expected_photons
 from tdi import forward, pipeline, scene
-from tdi.config import TIME_CONVENTIONS, SimConfig
+from tdi.config import BACKGROUND_KINDS, TIME_CONVENTIONS, SimConfig
 
 SILHOUETTES = scene.generate_silhouettes(4, seed=9)
 
@@ -69,9 +69,9 @@ def test_cached_backdrop_histogram_matches_whole_scene_oracle(drawn):
                       max_size=40))
 def test_cached_backdrop_histogram_matches_oracle_for_any_edit(cfg, background, data,
                                                                 edits):
-    # an image that render did not draw on this backdrop is computed whole,
-    # so a pixel whose reflectance alone changed, and one that stopped
-    # returning, count as well as the ones a placement brings closer
+    # the histogram compares the image with the backdrop, so a pixel whose
+    # reflectance alone changed, and one that stopped returning, count as
+    # well as the ones a placement brings closer
     backdrop = scene.render_background(background, cfg)
     depth, refl = backdrop.depth_m.copy(), backdrop.reflectance.copy()
     for pixel, kind in edits:
@@ -90,7 +90,7 @@ def test_cached_backdrop_histogram_matches_oracle_for_any_edit(cfg, background, 
 @st.composite
 def recipes(draw, background=None, varied=True):
     """Tiny recipes: one silhouette, a few poses, fixed or per-scene reflectivity."""
-    background = background or draw(st.sampled_from(pipeline.BACKGROUND_KINDS))
+    background = background or draw(st.sampled_from(BACKGROUND_KINDS))
     reflectivity_range = None
     if varied and draw(st.booleans()):
         reflectivity_range = (0.25, 4.0)
